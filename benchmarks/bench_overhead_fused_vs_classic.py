@@ -44,22 +44,28 @@ def bench_classic_abft_offline(benchmark, bench_config, bench_operands):
     assert result.verified
 
 
-@pytest.mark.parametrize("dispatch", ["tile", "batched"])
-def bench_unprotected_by_dispatch(benchmark, bench_config, bench_operands, dispatch):
+#: (dispatch option, mode it runs on a clean call)
+DISPATCH_RUNS = [("tile", "tile"), ("auto", "batched")]
+
+
+@pytest.mark.parametrize("dispatch,ran", DISPATCH_RUNS)
+def bench_unprotected_by_dispatch(benchmark, bench_config, bench_operands,
+                                  dispatch, ran):
     a, b = bench_operands
     driver = BlockedGemm(bench_config.blocking.with_(dispatch=dispatch))
     benchmark(lambda: driver.gemm(a, b))
-    assert driver.last_mode == dispatch
+    assert driver.last_mode == ran
 
 
-@pytest.mark.parametrize("dispatch", ["tile", "batched"])
-def bench_fused_ft_by_dispatch(benchmark, bench_config, bench_operands, dispatch):
+@pytest.mark.parametrize("dispatch,ran", DISPATCH_RUNS)
+def bench_fused_ft_by_dispatch(benchmark, bench_config, bench_operands,
+                               dispatch, ran):
     a, b = bench_operands
     driver = FTGemm(
         bench_config.with_(blocking=bench_config.blocking.with_(dispatch=dispatch))
     )
     result = benchmark(lambda: driver.gemm(a, b))
-    assert driver.last_mode == dispatch
+    assert driver.last_mode == ran
     assert result.counters.ft_extra_bytes == 0  # fused in either mode
 
 

@@ -150,8 +150,9 @@ def test_trace_overhead_vs_dispatch_baseline():
     a = rng.standard_normal((n, n))
     b = rng.standard_normal((n, n))
     timings = {}
-    for mode in ("tile", "batched"):
-        cfg = BlockingConfig(mr=8, nr=6, mc=96, kc=96, nc=96, dispatch=mode)
+    # keyed by the mode that runs; dispatch="auto" runs batched here
+    for mode, dispatch in (("tile", "tile"), ("batched", "auto")):
+        cfg = BlockingConfig(mr=8, nr=6, mc=96, kc=96, nc=96, dispatch=dispatch)
         driver = FTGemm(FTGemmConfig(blocking=cfg).with_(enable_ft=False))
         best = float("inf")
         for _ in range(3):

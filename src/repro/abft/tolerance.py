@@ -6,17 +6,15 @@ verifier must use a threshold that (a) never flags pure round-off as a soft
 error — false positives trigger needless correction/recompute work — and
 (b) stays far below the magnitude of the errors worth catching.
 
-Two modes are provided (selected by :class:`ToleranceConfig`):
+Thresholds are per-entry bounds from the standard model
+``|fl(Σ x_i) − Σ x_i| ≤ γ_n Σ|x_i|`` with ``γ_n = n·eps``. For the row
+residual of column ``j`` the accumulated products are bounded by
+``(eᵀ|A|)·|B|[:, j]`` (plus the ``β·C₀`` leg), giving a vector of
+tolerances at O(MK + KN) cost — negligible next to the GEMM. (The FT
+drivers accumulate the same envelopes fused into their passes; see
+:func:`repro.core.verification.envelope_tolerances`.)
 
-- ``"envelope"`` (default): per-entry bounds from the standard model
-  ``|fl(Σ x_i) − Σ x_i| ≤ γ_n Σ|x_i|`` with ``γ_n = n·eps``. For the row
-  residual of column ``j`` the accumulated products are bounded by
-  ``(eᵀ|A|)·|B|[:, j]`` (plus the ``β·C₀`` leg), giving a vector of
-  tolerances at O(MK + KN) cost — negligible next to the GEMM;
-- ``"norm"``: one scalar ``safety · eps · K · ‖A‖_max ‖B‖_max · √(M)``-style
-  bound; cheaper, coarser, used by the performance model's cost accounting.
-
-Both include an absolute floor so all-zero inputs don't produce a zero
+The bounds include an absolute floor so all-zero inputs don't produce a zero
 threshold (any nonzero injected error must still be detectable).
 """
 
@@ -27,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.util.errors import ConfigError
-from repro.util.validation import check_in
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -41,12 +38,10 @@ class ToleranceConfig:
     and the blocked/pairwise orders the implementation actually uses.
     """
 
-    mode: str = "envelope"
     safety: float = 8.0
     floor: float = 64.0 * EPS
 
     def __post_init__(self) -> None:
-        check_in(self.mode, "mode", ("envelope", "norm"))
         if self.safety <= 0:
             raise ConfigError(f"safety must be positive, got {self.safety}")
         if self.floor < 0:
@@ -92,18 +87,6 @@ def roundoff_bound_cols(
     return config.safety * envelope + config.floor
 
 
-def norm_tolerance(
-    a: np.ndarray, b: np.ndarray, config: ToleranceConfig
-) -> float:
-    """Scalar threshold: ``safety · eps · k · max|A| · max|B| · √(max(m,n))``."""
-    m, k = a.shape
-    n = b.shape[1]
-    amax = float(np.abs(a).max(initial=0.0))
-    bmax = float(np.abs(b).max(initial=0.0))
-    scale = amax * bmax * k * np.sqrt(max(m, n))
-    return config.safety * EPS * scale + config.floor
-
-
 def residual_tolerances(
     a: np.ndarray,
     b: np.ndarray,
@@ -120,15 +103,6 @@ def residual_tolerances(
     pass; they are folded in with ``|β|`` here.
     """
     config = config or ToleranceConfig()
-    m, k = a.shape
-    n = b.shape[1]
-    if config.mode == "norm":
-        t = norm_tolerance(a, b, config)
-        if beta != 0.0 and c0_abs_rowsum is not None:
-            t += config.safety * EPS * abs(beta) * float(
-                max(c0_abs_rowsum.max(initial=0.0), 1.0)
-            )
-        return np.full(n, t), np.full(m, t)
     scaled_row = None
     scaled_col = None
     if beta != 0.0:

@@ -35,6 +35,15 @@ when its RHS is produced by a DMR producer (``_dmr_block_solve``,
 reaching definitions, or when its own expression reads residual names
 (the repair arithmetic).
 
+The fused passes themselves live in one stage class
+(:class:`repro.core.fused.FusedPasses`), so a driver's mirror is usually a
+call into it: ``fused.update_b(...)`` on a receiver named ``fused`` /
+``_fused`` counts as evidence when the method is one of the known passes.
+That trust is checked, not assumed: in any ledger-owning class that
+defines a pass of that name, the method must hold evidence itself (or
+reach it through a ``self.<helper>(...)`` call) — a pass that stops
+touching the ledger is reported at its definition.
+
 Writes that are sanctioned by design but fail the local check (the
 non-``last_p`` macro call, whose mirror lives at pack time) must carry a
 ``# analysis: ignore[ledger-coverage] -- why`` suppression — the rule is
@@ -72,6 +81,20 @@ _PRODUCERS = {"_dmr_block_solve", "dmr_scale"}
 _INPLACE_WRITERS = {"_butterfly"}
 
 _CHECKSUM_NAME = re.compile(r"^(pred|residual|r[0-9])")
+
+#: the fused ABFT passes of repro.core.fused.FusedPasses: each mirrors
+#: its pass into the ledger it owns, so calling one is evidence
+_FUSED_PASSES = {
+    "encode_a",
+    "encode_c",
+    "update_b",
+    "update_b_cached",
+    "update_a",
+    "update_a_reused",
+}
+
+#: receiver names under which the drivers hold their FusedPasses stage
+_FUSED_RECEIVERS = {"fused", "_fused"}
 
 
 def _name_root(node: ast.expr) -> str | None:
@@ -195,7 +218,56 @@ def _is_evidence(node: Node) -> bool:
                 return True
             if any(kw.arg in ("row_ref", "col_ref") for kw in sub.keywords):
                 return True
+            if _is_fused_pass(sub):
+                return True
     return False
+
+
+def _is_fused_pass(call: ast.Call) -> bool:
+    """``fused.update_b(...)`` / ``self._fused.update_a(...)``."""
+    func = call.func
+    return (
+        isinstance(func, ast.Attribute)
+        and func.attr in _FUSED_PASSES
+        and _dotted(func.value).rsplit(".", 1)[-1] in _FUSED_RECEIVERS
+    )
+
+
+def _self_calls(fn: ast.FunctionDef) -> set[str]:
+    return {
+        sub.func.attr
+        for sub in ast.walk(fn)
+        if isinstance(sub, ast.Call)
+        and isinstance(sub.func, ast.Attribute)
+        and isinstance(sub.func.value, ast.Name)
+        and sub.func.value.id == "self"
+    }
+
+
+def _unmirrored_passes(
+    module: SourceModule, cls: ast.ClassDef
+) -> Iterator[ast.FunctionDef]:
+    """Fused passes defined in ``cls`` that reach no ledger evidence,
+    directly or through ``self.<method>(...)`` helpers of the class."""
+    methods = {
+        stmt.name: stmt
+        for stmt in cls.body
+        if isinstance(stmt, ast.FunctionDef)
+    }
+    evident = {
+        name
+        for name, fn in methods.items()
+        if any(_is_evidence(node) for node in module.cfg(fn).stmt_nodes())
+    }
+    changed = True
+    while changed:
+        changed = False
+        for name, fn in methods.items():
+            if name not in evident and _self_calls(fn) & evident:
+                evident.add(name)
+                changed = True
+    for name in sorted(_FUSED_PASSES & set(methods) - evident):
+        yield methods[name]
 
 
 def _self_evident(node: Node, write: ast.AST,
@@ -302,6 +374,14 @@ def check_ledger_coverage(module: SourceModule) -> Iterator[Finding]:
     scopes: list[tuple[ast.FunctionDef, bool]] = []
     for node in ast.walk(module.tree):
         if isinstance(node, ast.ClassDef) and _ledger_class(node):
+            for fn in _unmirrored_passes(module, node):
+                yield module.finding(
+                    "ledger-coverage",
+                    fn,
+                    f"{fn.name}(): fused pass with no checksum-ledger "
+                    "evidence — drivers count a call to it as their "
+                    "mirror, so it must store into the ledger",
+                )
             for stmt in node.body:
                 if (
                     isinstance(stmt, ast.FunctionDef)

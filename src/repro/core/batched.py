@@ -72,7 +72,7 @@ def ft_gemm_batched(
     items, so a campaign can strike anywhere in the batch.
 
     ``dispatch`` overrides the blocking config's macro-kernel mode for this
-    batch (``"auto"``/``"tile"``/``"batched"``); injected batches fall back
+    batch (``"auto"``/``"tile"``); injected batches fall back
     to tile mode regardless, per the dispatch rules.
     """
     config = (config or FTGemmConfig()).validate()

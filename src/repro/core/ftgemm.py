@@ -1,28 +1,13 @@
 """FT-GEMM: the fused fault-tolerant GEMM (paper Section 2.2).
 
 :class:`FTGemm` extends the blocked driver with the paper's fused ABFT
-operations, each attached to the pass that already touches the data:
-
-====================  =====================================================
-pass                  fused ABFT work
-====================  =====================================================
-prologue              ``A^r = eᵀ(αA)`` (the one upfront sweep of A), plus
-                      the fused round-off envelope ``eᵀ|αA|``
-``C = βC`` scaling    DMR-protected scaling; encode the initial predicted
-                      checksums ``eᵀ(βC)`` and ``(βC)e`` from the scaled
-                      values while they are live
-pack ``B → B̃``       partial ``B^c = B_blk·e`` for this (p, j) block and
-                      the predicted row checksum update
-                      ``C^r += A^r·B_blk`` — each loaded B element is used
-                      three times (pack, B^c, C^r)
-pack ``A → Ã``        predicted column checksum update
-                      ``C^c += αA_blk·B^c_partial`` reusing the loaded A
-macro kernel          on the last K-block, reference checksums
-                      ``C^r_ref += eᵀC_block`` / ``C^c_ref += C_block·e``
-                      from the freshly computed C tiles
-epilogue              verify reference vs predicted; locate / correct /
-                      recompute via :class:`repro.core.verification.Verifier`
-====================  =====================================================
+operations, each attached to the pass that already touches the data —
+the A prologue sweep, the ``C = βC`` scaling, pack B, pack A and the last
+K-block's macro kernels — and verifies once after the loops. The passes
+themselves live in :mod:`repro.core.fused` (shared with the parallel
+scheme); this driver hooks them into the Figure-1 loop nest and keeps
+what is serial-only: Ã reuse across j-blocks, panel-cache admission, the
+memory-sink address stream and the eager debug probes.
 
 The driver therefore makes **no separate pass** over A, B, or C for fault
 tolerance — the property the paper's overhead numbers hinge on. Counters
@@ -35,35 +20,17 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.abft.locate import locate
 from repro.core.config import FTGemmConfig
-from repro.core.dmr import dmr_scale
+from repro.core.fused import FusedPasses, injection_allows_batched, no_visit, verify
 from repro.core.results import FTGemmResult, VerificationReport
-from repro.core.supervisor import EscalationSupervisor
-from repro.core.verification import ChecksumLedger, Verifier
+from repro.core.verification import envelope_tolerances
 from repro.gemm.driver import BlockedGemm, MemorySink
 from repro.gemm.macrokernel import TileHook, macro_kernel, macro_kernel_batched
 from repro.gemm.packing import PackedPanels
 from repro.obs.tracer import NULL_SPAN, Tracer
 from repro.simcpu.counters import Counters
 from repro.util.errors import ConfigError
-
-
-class _NullInjector:
-    """No-faults stand-in so the hot path has no None checks at call sites."""
-
-    def visit(self, site: str, array: np.ndarray, tid: int | None = None) -> bool:
-        return False
-
-    def mark_detected(self, n: int) -> None:
-        pass
-
-    def mark_corrected(self, n: int) -> None:
-        pass
-
-    n_injected = 0
-
-
-_NULL_INJECTOR = _NullInjector()
 
 
 class FTGemm(BlockedGemm):
@@ -85,24 +52,7 @@ class FTGemm(BlockedGemm):
         if tracer is None and self.ft_config.trace:
             tracer = Tracer()
         super().__init__(self.ft_config.blocking, sink=sink, tracer=tracer)
-        # per-call state
-        self._ledger: ChecksumLedger | None = None
-        self._injector = _NULL_INJECTOR
-        self._a: np.ndarray | None = None
-        self._b: np.ndarray | None = None
-        self._alpha = 1.0
-        self._beta = 0.0
-        self._a_row: np.ndarray | None = None
-        self._abs_a_row: np.ndarray | None = None
-        self._bc_partial: np.ndarray | None = None
-        self._abs_bc_partial: np.ndarray | None = None
-        self._c0: np.ndarray | None = None
-        self._eager_reports: list[VerificationReport] = []
-        # weighted-scheme state
-        self._w_m: np.ndarray | None = None
-        self._w_n: np.ndarray | None = None
-        self._a_row_w: np.ndarray | None = None
-        self._bc_partial_w: np.ndarray | None = None
+        self._release_call_state()
 
     @property
     def ft(self) -> bool:
@@ -135,10 +85,10 @@ class FTGemm(BlockedGemm):
         :class:`~repro.gemm.panelcache.PackedB` from the panel cache): the
         whole pack_b+checksum-encode phase is served from the resident
         buffers while the checksum ledger stays exactly consistent (the
-        cached partials are the bit-identical quantities the fused pass
-        would compute). Injected runs decline it — fault campaigns must
-        keep the exact per-pass schedule the planner counted — so a cached
-        B never perturbs an injection experiment.
+        cached partials come from the same function the fused pass uses).
+        Injected runs decline it — fault campaigns must keep the exact
+        per-pass schedule the planner counted — so a cached B never
+        perturbs an injection experiment.
 
         ``trans_a``/``trans_b`` select ``op(X) = Xᵀ`` (the BLAS interface).
         The transposed operand is materialized contiguously before the
@@ -160,13 +110,14 @@ class FTGemm(BlockedGemm):
         if trans_b:
             b = np.ascontiguousarray(np.asarray(b, dtype=np.float64).T)
         self.counters = Counters()
-        self._injector = injector if injector is not None else _NULL_INJECTOR
+        self._injector = injector
+        self._visit = no_visit if injector is None else injector.visit
         self._eager_reports = []
         tr = self._tr = self.tracer if self.tracer.enabled else None
-        if tr is not None:
+        if tr is not None and injector is not None:
             try:
                 # injectors publish fault.injected events through the tracer
-                self._injector.tracer = tr
+                injector.tracer = tr
             except AttributeError:
                 pass
         hook = self._make_tile_hook(on_tile)
@@ -211,56 +162,15 @@ class FTGemm(BlockedGemm):
             a, b, c, alpha=alpha, beta=beta, on_tile=hook, packed_b=packed_b
         )
         reports: list[VerificationReport] = list(self._eager_reports)
-        verified = True
-        recovery = None
+        verified, recovery = True, None
         if self.ft:
-            live_injector = (
-                self._injector if self._injector is not _NULL_INJECTOR else None
+            final_reports, verified, recovery = verify(
+                out, self._fused.ledger, a=self._a, b=self._b,
+                alpha=self._alpha, beta=self._beta, c0=self._c0,
+                config=self.ft_config, counters=self.counters,
+                injector=self._injector, tracer=self._tr,
             )
-            if self.ft_config.enable_supervisor:
-                supervisor = EscalationSupervisor(
-                    self._a,
-                    self._b,
-                    alpha=self._alpha,
-                    beta=self._beta,
-                    c0=self._c0,
-                    config=self.ft_config,
-                    counters=self.counters,
-                    injector=live_injector,
-                    tracer=self._tr,
-                )
-                try:
-                    final_reports, verified, recovery = supervisor.finalize(
-                        out, self._ledger
-                    )
-                finally:
-                    self._injector.mark_detected(self.counters.errors_detected)
-                    mark_corrected = getattr(self._injector, "mark_corrected", None)
-                    if mark_corrected is not None:
-                        mark_corrected(self.counters.errors_corrected)
-                reports.extend(final_reports)
-                if not (recovery.rounds or recovery.quarantined):
-                    recovery = None  # clean path: no recovery story to tell
-            else:
-                verifier = Verifier(
-                    self._a,
-                    self._b,
-                    alpha=self._alpha,
-                    beta=self._beta,
-                    c0=self._c0,
-                    config=self.ft_config,
-                    counters=self.counters,
-                    injector=live_injector,
-                    tracer=self._tr,
-                )
-                try:
-                    final_reports, verified = verifier.finalize(out, self._ledger)
-                finally:
-                    self._injector.mark_detected(self.counters.errors_detected)
-                    mark_corrected = getattr(self._injector, "mark_corrected", None)
-                    if mark_corrected is not None:
-                        mark_corrected(self.counters.errors_corrected)
-                reports.extend(final_reports)
+            reports.extend(final_reports)
         return FTGemmResult(
             c=out,
             counters=self.counters,
@@ -270,43 +180,26 @@ class FTGemm(BlockedGemm):
             recovery=recovery,
         )
 
-    _KERNEL_SITES = ("microkernel", "pack_a", "pack_b")
-
     def _make_tile_hook(self, user_hook: TileHook | None) -> TileHook | None:
-        injector = self._injector
-        if user_hook is None and (
-            injector is _NULL_INJECTOR or self._injection_allows_batched()
-        ):
+        if user_hook is None and injection_allows_batched(self._injector):
             # no per-tile consumer: leave the hook out entirely so the
             # dispatch layer is free to take the batched fast path
             return None
+        visit = self._visit
 
         def hook(c_tile: np.ndarray, i0: int, j0: int) -> None:
-            injector.visit("microkernel", c_tile)
+            visit("microkernel", c_tile)
             if user_hook is not None:
                 user_hook(c_tile, i0, j0)
 
         return hook
-
-    def _injection_allows_batched(self) -> bool:
-        """A plan that strikes no kernel-layer site (micro-kernel tiles or
-        packed buffers) needs no per-tile observation — checksum/scale
-        injection touches only driver-level state, so batched dispatch stays
-        legal. Injectors without a queryable plan stay conservatively on the
-        per-tile schedule."""
-        if self._injector is _NULL_INJECTOR:
-            return False
-        targets = getattr(self._injector, "targets_site", None)
-        if targets is None:
-            return False
-        return not any(targets(site) for site in self._KERNEL_SITES)
 
     def _resolve_mode(self, on_tile: TileHook | None) -> str:
         if (
             on_tile is None
             and self.sink is None
             and self.config.dispatch != "tile"
-            and self._injection_allows_batched()
+            and injection_allows_batched(self._injector)
         ):
             return "batched"
         return super()._resolve_mode(on_tile)
@@ -315,81 +208,50 @@ class FTGemm(BlockedGemm):
         """Fault injection observes every pass at per-(p, j, i) granularity;
         clean-path optimizations stay off while an injector is attached so
         injected campaigns hit the exact schedule the planner counted."""
-        return super()._fast_path() and self._injector is _NULL_INJECTOR
+        return super()._fast_path() and self._injector is None
 
     def _release_call_state(self) -> None:
-        self._ledger = None
-        self._injector = _NULL_INJECTOR
-        self._a = self._b = None
-        self._a_row = self._abs_a_row = None
-        self._bc_partial = self._abs_bc_partial = None
-        self._c0 = None
-        self._w_m = self._w_n = None
-        self._a_row_w = self._bc_partial_w = None
+        self._fused: FusedPasses | None = None
+        self._injector = None
+        self._visit = no_visit
+        self._eager_reports: list[VerificationReport] = []
+        self._a = self._b = self._c0 = None
+        self._alpha, self._beta = 1.0, 0.0
 
     # --------------------------------------------------- fused driver stages
     def _begin(self, m, n, k, a, b, c, alpha, beta) -> None:
-        self._a = a
-        self._b = b
-        self._alpha = alpha
-        self._beta = beta
+        self._a, self._b, self._alpha, self._beta = a, b, alpha, beta
         self._c0 = None
         if not self.ft:
             return
         tr = self._tr
         with (tr.span("prologue", cat="checksum", args={"m": m, "k": k})
               if tr is not None else NULL_SPAN):
-            weighted = self.ft_config.weighted
-            self._ledger = ChecksumLedger.zeros(m, n, weighted=weighted)
-            # the one upfront sweep of A: A^r = e^T(alpha*A), + its envelope
-            self._a_row = alpha * a.sum(axis=0)
-            self._abs_a_row = abs(alpha) * np.abs(a).sum(axis=0)
-            self.counters.checksum_flops += 2 * m * k
-            if weighted:
-                self._w_m = np.arange(1.0, m + 1.0)
-                self._w_n = np.arange(1.0, n + 1.0)
-                self._a_row_w = alpha * (self._w_m @ a)
-                self.counters.checksum_flops += 2 * m * k
-            self._injector.visit("checksum", self._a_row)
+            self._fused = FusedPasses(
+                self.ft_config, m, n, alpha=alpha, counters=self.counters,
+                visit=self._visit, tracer=tr,
+            )
+            self._fused.encode_a(a)
             if beta != 0.0 and self.ft_config.keep_original_c:
                 self._c0 = c.copy()
 
     def _scale_c(self, c: np.ndarray, beta: float) -> None:
         if not self.ft:
             super()._scale_c(c, beta)
-            self._injector.visit("scale", c)
+            self._visit("scale", c)
             return
-        if beta == 0.0 and self._c_fresh and self._injector is _NULL_INJECTOR:
+        if beta == 0.0 and self._c_fresh and self._injector is None:
             # C was freshly allocated as zeros and there is no injector
             # needing the DMR window: no scaling arithmetic happens, so
             # there is nothing to protect, encode, count, or store
             return
-        ledger = self._ledger
-        if beta != 0.0:
-            abs_c = np.abs(c)
-            ledger.c0_abs_row = abs_c.sum(axis=0)
-            ledger.c0_abs_col = abs_c.sum(axis=1)
-            self.counters.checksum_flops += 2 * c.size
-        if self.ft_config.dmr_protect_scale:
-            dmr_scale(c, beta, counters=self.counters, visit=self._injector.visit)
-        else:
-            super()._scale_c(c, beta)
-            self._injector.visit("scale", c)
-        if beta != 0.0:
-            ledger.row_pred += c.sum(axis=0)
-            ledger.col_pred += c.sum(axis=1)
-            self.counters.checksum_flops += 2 * c.size
-            if ledger.weighted:
-                ledger.row_pred_w += self._w_m @ c
-                ledger.col_pred_w += c @ self._w_n
-                self.counters.checksum_flops += 4 * c.size
-        self._injector.visit("checksum", ledger.col_pred)
+        self._fused.encode_c(c, 0, beta, super()._scale_c)
 
     def _admit_packed_b(self, packed_b, b, k, n):
         """Injected runs decline the cached grid: fault campaigns count on
         the exact per-pass schedule (every pack_b site visited), and a
         cached panel must never absorb or reorder an injection."""
-        if packed_b is not None and self._injector is not _NULL_INJECTOR:
+        if packed_b is not None and self._injector is not None:
             return None
         return super()._admit_packed_b(packed_b, b, k, n)
 
@@ -397,164 +259,60 @@ class FTGemm(BlockedGemm):
         self, grid, p_idx, j_idx, p0, plen, j0, jlen
     ) -> PackedPanels:
         """Serve B̃ and replay the B-side fused checksum updates from the
-        cached encoding.
-
-        The cached ``bc``/``abs_bc``/``bc_w`` partials are bit-identical to
-        what the fused pass computes (same reductions over the same
-        values), so the ledger stays exactly consistent; the A-dependent
-        updates (``C^r += A^r·B_blk`` and its envelope) still run — they
-        depend on this call's A — but read the resident packed columns
-        instead of re-sweeping B. Only reachable on clean runs (admission
-        declines the grid when an injector is attached), so no fault sites
-        are visited here.
-        """
+        cached encoding. Only reachable on clean runs (admission declines
+        the grid when an injector is attached), so no sites are visited."""
         blk = grid.block(p_idx, j_idx)
-        packed = blk.packed
         if self.ft:
-            tr = self._tr
-            cm = (tr.span("checksum_update", cat="checksum",
-                          args={"site": "pack_b_cached", "p0": p0, "j0": j0})
-                  if tr is not None else NULL_SPAN)
-            with cm:
-                ledger = self._ledger
-                cols = packed.cols()[:, :jlen]
-                abs_cols = blk.abs_cols[:, :jlen]
-                self._bc_partial = blk.bc
-                self._abs_bc_partial = blk.abs_bc
-                ledger.row_pred[j0 : j0 + jlen] += (
-                    self._a_row[p0 : p0 + plen] @ cols
-                )
-                ledger.env_row[j0 : j0 + jlen] += (
-                    self._abs_a_row[p0 : p0 + plen] @ abs_cols
-                )
-                self.counters.checksum_flops += 4 * plen * jlen
-                if ledger.weighted:
-                    ledger.row_pred_w[j0 : j0 + jlen] += (
-                        self._a_row_w[p0 : p0 + plen] @ cols
-                    )
-                    self._bc_partial_w = blk.bc_w
-                    self.counters.checksum_flops += 2 * plen * jlen
-        return packed
+            with self._fused.span("pack_b_cached", p0=p0, j0=j0):
+                self._fused.update_b_cached(blk, p0, j0)
+        return blk.packed
 
     def _pack_b_block(self, b, p0, plen, j0, jlen) -> PackedPanels:
         packed = super()._pack_b_block(b, p0, plen, j0, jlen)
         if self.ft:
-            tr = self._tr
-            cm = (tr.span("checksum_update", cat="checksum",
-                          args={"site": "pack_b", "p0": p0, "j0": j0})
-                  if tr is not None else NULL_SPAN)
-            with cm:
-                ledger = self._ledger
-                b_blk = b[p0 : p0 + plen, j0 : j0 + jlen]
-                abs_b_blk = np.abs(b_blk)
-                # each loaded B element is reused 3 times: pack, B^c, C^r
-                self._bc_partial = b_blk.sum(axis=1)
-                self._abs_bc_partial = abs_b_blk.sum(axis=1)
-                ledger.row_pred[j0 : j0 + jlen] += (
-                    self._a_row[p0 : p0 + plen] @ b_blk
-                )
-                ledger.env_row[j0 : j0 + jlen] += (
-                    self._abs_a_row[p0 : p0 + plen] @ abs_b_blk
-                )
-                self.counters.checksum_flops += 5 * plen * jlen
-                if ledger.weighted:
-                    ledger.row_pred_w[j0 : j0 + jlen] += (
-                        self._a_row_w[p0 : p0 + plen] @ b_blk
-                    )
-                    self._bc_partial_w = b_blk @ self._w_n[j0 : j0 + jlen]
-                    self.counters.checksum_flops += 4 * plen * jlen
-                self._injector.visit(
-                    "checksum", ledger.row_pred[j0 : j0 + jlen]
-                )
-        self._injector.visit("pack_b", packed.data)
+            with self._fused.span("pack_b", p0=p0, j0=j0):
+                self._fused.update_b(b[p0 : p0 + plen, j0 : j0 + jlen], p0, j0)
+        self._visit("pack_b", packed.data)
         return packed
 
     def _pack_a_block(self, a, i0, ilen, p0, plen, alpha, *, first_j) -> PackedPanels:
         packed = super()._pack_a_block(a, i0, ilen, p0, plen, alpha, first_j=first_j)
         if self.ft:
-            tr = self._tr
-            cm = (tr.span("checksum_update", cat="checksum",
-                          args={"site": "pack_a", "i0": i0, "p0": p0})
-                  if tr is not None else NULL_SPAN)
-            with cm:
-                ledger = self._ledger
-                a_blk = a[i0 : i0 + ilen, p0 : p0 + plen]
-                # reuse the loaded A elements for the predicted col checksum
-                ledger.col_pred[i0 : i0 + ilen] += alpha * (
-                    a_blk @ self._bc_partial
-                )
-                ledger.env_col[i0 : i0 + ilen] += abs(alpha) * (
-                    np.abs(a_blk) @ self._abs_bc_partial
-                )
-                self.counters.checksum_flops += 4 * ilen * plen
-                if ledger.weighted:
-                    ledger.col_pred_w[i0 : i0 + ilen] += alpha * (
-                        a_blk @ self._bc_partial_w
-                    )
-                    self.counters.checksum_flops += 2 * ilen * plen
-                self._injector.visit(
-                    "checksum", ledger.col_pred[i0 : i0 + ilen]
-                )
-        self._injector.visit("pack_a", packed.data)
+            with self._fused.span("pack_a", i0=i0, p0=p0):
+                self._fused.update_a(a[i0 : i0 + ilen, p0 : p0 + plen], i0)
+        self._visit("pack_a", packed.data)
         return packed
 
     def _reuse_a_block(self, a, packed, i0, ilen, p0, plen, alpha) -> None:
-        """Fused per-(p, j, i) checksum update when Ã is reused across
-        j-blocks: ``B^c`` differs per j, so the predicted column checksum
-        still accumulates — but from the resident packed Ã (alpha already
-        folded) instead of a fresh sweep of A. Only reached on the clean
-        fast path (no injector), so no sites are visited."""
-        if not self.ft:
-            return
-        tr = self._tr
-        cm = (tr.span("checksum_update", cat="checksum",
-                      args={"site": "reuse_a", "i0": i0, "p0": p0})
-              if tr is not None else NULL_SPAN)
-        with cm:
-            ledger = self._ledger
-            rows = packed.rows()[:ilen]
-            ledger.col_pred[i0 : i0 + ilen] += rows @ self._bc_partial
-            ledger.env_col[i0 : i0 + ilen] += np.abs(rows) @ self._abs_bc_partial
-            self.counters.checksum_flops += 4 * ilen * plen
-            if ledger.weighted:
-                ledger.col_pred_w[i0 : i0 + ilen] += rows @ self._bc_partial_w
-                self.counters.checksum_flops += 2 * ilen * plen
+        """Only reached on the clean fast path (no injector), so no sites
+        are visited."""
+        if self.ft:
+            with self._fused.span("reuse_a", i0=i0, p0=p0):
+                self._fused.update_a_reused(packed.rows()[:ilen], i0)
 
     def _run_macro(self, packed_a, packed_b, c_block, *, i0, j0, last_p, on_tile) -> None:
-        if self.ft and last_p:
-            ledger = self._ledger
-            ilen, jlen = c_block.shape
-            weighted_kwargs = {}
-            if ledger.weighted:
-                weighted_kwargs = dict(
-                    row_ref_w=ledger.row_ref_w[j0 : j0 + jlen],
-                    col_ref_w=ledger.col_ref_w[i0 : i0 + ilen],
-                    row_weights=self._w_m[i0 : i0 + ilen],
-                    col_weights=self._w_n[j0 : j0 + jlen],
-                )
-            tr = self._tr
-            ref_kwargs = dict(
-                row_ref=ledger.row_ref[j0 : j0 + jlen],
-                col_ref=ledger.col_ref[i0 : i0 + ilen],
-                counters=self.counters,
-                tracer=tr,
-                trace_args=({"i0": i0, "j0": j0, "refs": True}
-                            if tr is not None else None),
-                **weighted_kwargs,
-            )
-            if self._mode == "batched":
-                macro_kernel_batched(packed_a, packed_b, c_block, **ref_kwargs)
-            else:
-                macro_kernel(packed_a, packed_b, c_block, on_tile=on_tile, **ref_kwargs)
-            self._emit_macro_traffic(packed_a, packed_b, c_block, i0, j0)
-        else:
+        if not (self.ft and last_p):
             # non-final K-blocks run the plain macro by design: their
             # contributions were mirrored at pack time (row_pred/col_pred
             # already include this panel), and the fused row_ref/col_ref
-            # verification fires once, on the last_p pass above
+            # verification fires once, on the last_p pass below
             super()._run_macro(  # analysis: ignore[ledger-coverage] -- mirrored at pack time; fused verify runs on last_p
                 packed_a, packed_b, c_block, i0=i0, j0=j0, last_p=last_p, on_tile=on_tile
             )
+            return
+        tr = self._tr
+        kwargs = self._fused.refs(i0, c_block.shape[0], j0, c_block.shape[1])
+        kwargs.update(
+            counters=self.counters,
+            tracer=tr,
+            trace_args=({"i0": i0, "j0": j0, "refs": True}
+                        if tr is not None else None),
+        )
+        if self._mode == "batched":
+            macro_kernel_batched(packed_a, packed_b, c_block, **kwargs)
+        else:
+            macro_kernel(packed_a, packed_b, c_block, on_tile=on_tile, **kwargs)
+        self._emit_macro_traffic(packed_a, packed_b, c_block, i0, j0)
 
     def _after_p(self, p_idx: int, last_p: bool, c: np.ndarray) -> None:
         """Eager-mode probe: compare running checksums after each K-block.
@@ -565,23 +323,17 @@ class FTGemm(BlockedGemm):
         """
         if not self.ft or self.ft_config.verify_mode != "eager" or last_p:
             return
-        ledger = self._ledger
+        ledger = self._fused.ledger
         row_now = c.sum(axis=0)
         col_now = c.sum(axis=1)
         self.counters.checksum_flops += 2 * c.size
         self.counters.ft_extra_bytes += c.nbytes
         self.counters.verifications += 1
-        from repro.abft.locate import locate
-        from repro.abft.tolerance import EPS
-
         m, k = self._a.shape
-        n = self._b.shape[1]
-        tol = self.ft_config.tolerance
-        tol_rows = tol.safety * (k + m + 2) * EPS * ledger.env_row + tol.floor
-        tol_cols = tol.safety * (k + n + 2) * EPS * ledger.env_col + tol.floor
-        if self._beta != 0.0 and ledger.c0_abs_row is not None:
-            tol_rows = tol_rows + tol.safety * (m + 2) * EPS * abs(self._beta) * ledger.c0_abs_row
-            tol_cols = tol_cols + tol.safety * (n + 2) * EPS * abs(self._beta) * ledger.c0_abs_col
+        tol_rows, tol_cols = envelope_tolerances(
+            ledger, m, self._b.shape[1], k, beta=self._beta,
+            tolerance=self.ft_config.tolerance,
+        )
         pattern = locate(
             row_now - ledger.row_pred, col_now - ledger.col_pred, tol_rows, tol_cols
         )
@@ -594,8 +346,3 @@ class FTGemm(BlockedGemm):
                     flagged_cols=tuple(int(j) for j in pattern.cols),
                 )
             )
-
-    def _finish(self, c: np.ndarray) -> None:
-        # verification runs in gemm() after super().gemm returns, so that
-        # the result object can carry the reports; nothing to do here
-        pass

@@ -17,6 +17,11 @@ Thread/work mapping (Section 2.3), reproduced exactly:
 - per-thread checksum ledgers (the figure's ``C^r[thread_num][N]`` etc.)
   are reduced after the loops and verified once, serially.
 
+Each thread runs the fused passes of :mod:`repro.core.fused` over its own
+slices, through its own :class:`~repro.core.fused.FusedPasses`; this module
+keeps only what the threaded scheme adds: cooperative packing, barriers,
+the partial reductions and fail-stop recovery.
+
 Barriers (``yield`` in the worker) match the figure: one after the
 prologue (A^r partials + fused scaling), one after each cooperative B̃
 packing, one after each macro phase, so the shared buffer is never reused
@@ -30,19 +35,15 @@ deterministically interleaved by default, or on real OS threads with
 from __future__ import annotations
 
 import threading
+from functools import partial
 
 import numpy as np
 
 from repro.core.config import FTGemmConfig
-from repro.core.dmr import dmr_scale
+from repro.core.fused import FusedPasses, injection_allows_batched, no_visit, verify
 from repro.core.results import FTGemmResult
-from repro.core.supervisor import (
-    EscalationSupervisor,
-    RecoveryReport,
-    RecoveryRound,
-    _merge_counters,
-)
-from repro.core.verification import ChecksumLedger, Verifier, ledger_from_state
+from repro.core.supervisor import RecoveryReport, RecoveryRound, _merge_counters
+from repro.core.verification import ledger_from_state
 from repro.gemm.blocking import iter_blocks
 from repro.gemm.driver import BlockedGemm
 from repro.gemm.macrokernel import TileHook, macro_kernel, macro_kernel_batched
@@ -54,27 +55,11 @@ from repro.simcpu.counters import Counters
 from repro.util.errors import UncorrectableError
 from repro.util.validation import as_2d_float64, check_gemm_operands
 
-_KERNEL_SITES = ("microkernel", "pack_a", "pack_b")
-
-
-class _NullInjector:
-    def visit(self, site: str, array: np.ndarray, tid: int | None = None) -> bool:
-        return False
-
-    def mark_detected(self, n: int) -> None:
-        pass
-
-    def mark_corrected(self, n: int) -> None:
-        pass
-
-
-_NULL_INJECTOR = _NullInjector()
-
 
 class _LockedInjector:
-    """Serializes injector access from real threads; everything else (plan,
-    quarantine, sticky machinery) is delegated untouched — those run in the
-    serial prologue/epilogue."""
+    """Serializes ``visit`` calls from real threads; the injector's other
+    methods (plan, quarantine, sticky machinery, outcome marking) run in
+    the serial prologue/epilogue on the injector itself."""
 
     def __init__(self, inner):
         self._inner = inner
@@ -84,22 +69,13 @@ class _LockedInjector:
         with self._lock:
             return self._inner.visit(site, array, tid=tid)
 
-    def mark_detected(self, n: int) -> None:
-        with self._lock:
-            self._inner.mark_detected(n)
 
-    def __getattr__(self, name):
-        return getattr(self._inner, name)
-
-
-def _injection_allows_batched(injector) -> bool:
-    """Batched dispatch stays legal only when the plan strikes no
-    kernel-layer site (micro-kernel tiles, packed buffers); injectors
-    without a queryable plan conservatively force the per-tile schedule."""
-    targets = getattr(injector, "targets_site", None)
-    if targets is None:
-        return False
-    return not any(targets(site) for site in _KERNEL_SITES)
+def _scale(c: np.ndarray, beta: float) -> None:
+    """Plain in-place ``C = beta*C`` of one row slice (books no bytes)."""
+    if beta == 0.0:
+        c[:] = 0.0
+    elif beta != 1.0:
+        c *= beta
 
 
 class ParallelFTGemm:
@@ -221,14 +197,14 @@ class ParallelFTGemm:
             c = as_2d_float64(c, "C")
         m, n, k = check_gemm_operands(a, b, c)
         cfg = self.config.blocking
+        n_threads = self.n_threads
 
         # batched macro kernels whenever no per-tile consumer is attached —
-        # same dispatch rule as the serial driver (checksum/scale-only
-        # injection touches no kernel-layer state, so it batches too)
+        # same dispatch rule as the serial driver
         use_batched = (
             cfg.dispatch != "tile"
             and on_tile is None
-            and (injector is None or _injection_allows_batched(injector))
+            and injection_allows_batched(injector)
         )
         self.last_mode = "batched" if use_batched else "tile"
 
@@ -244,61 +220,53 @@ class ParallelFTGemm:
                 # becomes identical across team backends and step orders
                 from repro.faults.campaign import parallel_thread_map
 
-                bind(
-                    parallel_thread_map(
-                        m,
-                        n,
-                        k,
-                        cfg,
-                        self.n_threads,
-                        beta=beta,
-                        ft=self.ft,
-                        dmr_protect_scale=self.config.dmr_protect_scale,
-                        mode="batched" if use_batched else "tile",
-                    )
-                )
+                bind(parallel_thread_map(
+                    m, n, k, cfg, n_threads, beta=beta, ft=self.ft,
+                    dmr_protect_scale=self.config.dmr_protect_scale,
+                    mode=self.last_mode,
+                ))
 
-        raw_injector = injector
-        if injector is None:
-            injector = _NULL_INJECTOR
-        elif self.backend == "threads":
-            injector = _LockedInjector(injector)
+        shared = injector
+        if injector is not None and self.backend == "threads":
+            shared = _LockedInjector(injector)
+        visits = [
+            no_visit if shared is None else partial(shared.visit, tid=tid)
+            for tid in range(n_threads)
+        ]
 
+        ft = self.ft
         c0 = None
-        if self.ft and beta != 0.0 and self.config.keep_original_c:
+        if ft and beta != 0.0 and self.config.keep_original_c:
             c0 = c.copy()
 
-        row_part = partition_rows(m, self.n_threads)
+        row_part = partition_rows(m, n_threads)
         p_blocks = list(iter_blocks(k, cfg.kc))
         j_blocks = list(iter_blocks(n, cfg.nc))
         max_jlen = max(jlen for _, jlen in j_blocks)
         max_plen = max(plen for _, plen in p_blocks)
         max_panels = cfg.micro_panels_n(max_jlen)
 
-        # shared state of the parallel region
+        # shared state of the parallel region: B̃, and the per-thread
+        # partials of the A-side sums and of the current block's B-side
+        # sums (rows: plain, envelope, weighted)
         btilde = np.zeros((max_panels, max_plen, cfg.nr))
-        a_row_parts = np.zeros((self.n_threads, k))
-        abs_a_row_parts = np.zeros((self.n_threads, k))
-        bc_share = np.zeros((self.n_threads, max_plen))
-        abs_bc_share = np.zeros((self.n_threads, max_plen))
-        ft = self.ft
-        config = self.config
-        weighted = ft and config.weighted
-        ledgers = [
-            ChecksumLedger.zeros(m, n, weighted=weighted)
-            for _ in range(self.n_threads)
-        ]
-        thread_counters = [Counters() for _ in range(self.n_threads)]
-        if weighted:
-            w_m = np.arange(1.0, m + 1.0)
-            w_n = np.arange(1.0, n + 1.0)
-            a_row_w_parts = np.zeros((self.n_threads, k))
-            bc_share_w = np.zeros((self.n_threads, max_plen))
+        weighted = ft and self.config.weighted
+        n_sums = 3 if weighted else 2
+        a_parts = np.zeros((n_threads, n_sums, k))
+        b_parts = np.zeros((n_threads, n_sums, max_plen))
+        thread_counters = [Counters() for _ in range(n_threads)]
+        stages = [
+            FusedPasses(self.config, m, n, alpha=alpha,
+                        counters=thread_counters[tid], visit=visits[tid],
+                        tracer=tr, tid=tid)
+            for tid in range(n_threads)
+        ] if ft else []
 
         def worker(tid: int):
             ms, mlen = row_part[tid]
             counters = thread_counters[tid]
-            ledger = ledgers[tid]
+            visit = visits[tid]
+            fused = stages[tid] if ft else None
             c_slice = c[ms : ms + mlen]
             # thread-private Ã arena: one allocation per call, reused for
             # every (p, j, i) block this thread packs
@@ -311,89 +279,41 @@ class ParallelFTGemm:
             # ---- prologue: A^r partial + DMR scaling fused with C encoding
             if mlen:
                 if ft:
-                    cm = (tr.span("prologue", cat="checksum", tid=tid,
+                    with (tr.span("prologue", cat="checksum", tid=tid,
                                   args={"rows": mlen})
-                          if tr is not None else NULL_SPAN)
-                    with cm:
-                        a_slice = a[ms : ms + mlen]
-                        a_row_parts[tid] = alpha * a_slice.sum(axis=0)
-                        abs_a_row_parts[tid] = (
-                            abs(alpha) * np.abs(a_slice).sum(axis=0)
-                        )
-                        counters.checksum_flops += 2 * mlen * k
-                        if weighted:
-                            a_row_w_parts[tid] = alpha * (
-                                w_m[ms : ms + mlen] @ a_slice
-                            )
-                            counters.checksum_flops += 2 * mlen * k
-                        injector.visit("checksum", a_row_parts[tid], tid=tid)
-                    cm = (tr.span("scale_c", cat="scale", tid=tid,
-                                  args={"beta": beta})
-                          if tr is not None else NULL_SPAN)
-                    with cm:
-                        if beta != 0.0:
-                            abs_c = np.abs(c_slice)
-                            ledger.c0_abs_row = abs_c.sum(axis=0)
-                            ledger.c0_abs_col = np.zeros(m)
-                            ledger.c0_abs_col[ms : ms + mlen] = abs_c.sum(axis=1)
-                            counters.checksum_flops += 2 * c_slice.size
-                        if config.dmr_protect_scale:
-                            dmr_scale(
-                                c_slice,
-                                beta,
-                                counters=counters,
-                                visit=lambda site, arr: injector.visit(
-                                    site, arr, tid=tid
-                                ),
-                            )
-                        else:
-                            if beta == 0.0:
-                                c_slice[:] = 0.0
-                            elif beta != 1.0:
-                                c_slice *= beta
-                            injector.visit("scale", c_slice, tid=tid)
-                        if beta != 0.0:
-                            ledger.row_pred += c_slice.sum(axis=0)
-                            ledger.col_pred[ms : ms + mlen] += c_slice.sum(axis=1)
-                            counters.checksum_flops += 2 * c_slice.size
-                            if weighted:
-                                ledger.row_pred_w += w_m[ms : ms + mlen] @ c_slice
-                                ledger.col_pred_w[ms : ms + mlen] += c_slice @ w_n
-                                counters.checksum_flops += 4 * c_slice.size
-                        injector.visit(
-                            "checksum", ledger.col_pred[ms : ms + mlen], tid=tid
-                        )
-                else:
-                    cm = (tr.span("scale_c", cat="scale", tid=tid,
-                                  args={"beta": beta})
-                          if tr is not None else NULL_SPAN)
-                    with cm:
-                        if beta == 0.0:
-                            c_slice[:] = 0.0
-                        elif beta != 1.0:
-                            c_slice *= beta
-                        injector.visit("scale", c_slice, tid=tid)
+                          if tr is not None else NULL_SPAN):
+                        fused.encode_a(a[ms : ms + mlen], ms)
+                        a_parts[tid] = [
+                            fused.a_row, fused.abs_a_row, fused.a_row_w
+                        ][:n_sums]
+                with (tr.span("scale_c", cat="scale", tid=tid,
+                              args={"beta": beta})
+                      if tr is not None else NULL_SPAN):
+                    if ft:
+                        fused.encode_c(c_slice, ms, beta, _scale)
+                    else:
+                        _scale(c_slice, beta)
+                        visit("scale", c_slice)
             yield  # barrier: A^r partials complete, C scaled
             counters.barriers += 1
 
             # duplicated reduction of the global A^r (no second barrier)
             if ft:
-                cm = (tr.span("reduce_a_row", cat="checksum", tid=tid)
-                      if tr is not None else NULL_SPAN)
-                with cm:
-                    a_row = a_row_parts.sum(axis=0)
-                    abs_a_row = abs_a_row_parts.sum(axis=0)
-                    counters.checksum_flops += 2 * self.n_threads * k
+                with (tr.span("reduce_a_row", cat="checksum", tid=tid)
+                      if tr is not None else NULL_SPAN):
+                    sums = a_parts.sum(axis=0)
+                    fused.a_row, fused.abs_a_row = sums[0], sums[1]
+                    counters.checksum_flops += 2 * n_threads * k
                     if weighted:
-                        a_row_w = a_row_w_parts.sum(axis=0)
-                        counters.checksum_flops += self.n_threads * k
+                        fused.a_row_w = sums[2]
+                        counters.checksum_flops += n_threads * k
 
             n_p = len(p_blocks)
             for p_idx, (p0, plen) in enumerate(p_blocks):
                 last_p = p_idx == n_p - 1
                 for j0, jlen in j_blocks:
                     n_panels_j = cfg.micro_panels_n(jlen)
-                    f0, cnt = partition_panels(n_panels_j, self.n_threads)[tid]
+                    f0, cnt = partition_panels(n_panels_j, n_threads)[tid]
                     col0 = j0 + f0 * cfg.nr
                     width = min(cnt * cfg.nr, jlen - f0 * cfg.nr) if cnt else 0
 
@@ -414,59 +334,28 @@ class ParallelFTGemm:
                             counters.pack_b_bytes += cnt * plen * cfg.nr * 8
                             counters.stores_bytes += cnt * plen * cfg.nr * 8
                         if ft:
-                            cm = (tr.span("checksum_update", cat="checksum",
-                                          tid=tid,
-                                          args={"site": "pack_b",
-                                                "p0": p0, "j0": j0})
-                                  if tr is not None else NULL_SPAN)
-                            with cm:
-                                abs_chunk = np.abs(b_chunk)
-                                # three uses per loaded B element: pack, B^c, C^r
-                                bc_share[tid, :plen] = b_chunk.sum(axis=1)
-                                abs_bc_share[tid, :plen] = abs_chunk.sum(axis=1)
-                                ledger.row_pred[col0 : col0 + width] += (
-                                    a_row[p0 : p0 + plen] @ b_chunk
-                                )
-                                ledger.env_row[col0 : col0 + width] += (
-                                    abs_a_row[p0 : p0 + plen] @ abs_chunk
-                                )
-                                counters.checksum_flops += 5 * plen * width
-                                if weighted:
-                                    ledger.row_pred_w[col0 : col0 + width] += (
-                                        a_row_w[p0 : p0 + plen] @ b_chunk
-                                    )
-                                    bc_share_w[tid, :plen] = (
-                                        b_chunk @ w_n[col0 : col0 + width]
-                                    )
-                                    counters.checksum_flops += 4 * plen * width
-                                injector.visit(
-                                    "checksum",
-                                    ledger.row_pred[col0 : col0 + width],
-                                    tid=tid,
-                                )
-                        injector.visit(
-                            "pack_b", btilde[f0 : f0 + cnt, :plen, :], tid=tid
-                        )
+                            with fused.span("pack_b", p0=p0, j0=j0):
+                                fused.update_b(b_chunk, p0, col0)
+                            b_parts[tid, :, :plen] = [
+                                fused.bc, fused.abs_bc, fused.bc_w
+                            ][:n_sums]
+                        visit("pack_b", btilde[f0 : f0 + cnt, :plen, :])
                     elif ft:
-                        bc_share[tid, :plen] = 0.0
-                        abs_bc_share[tid, :plen] = 0.0
-                        if weighted:
-                            bc_share_w[tid, :plen] = 0.0
+                        b_parts[tid, :, :plen] = 0.0
                     yield  # barrier: B̃ and B^c_share complete
                     counters.barriers += 1
 
                     # duplicated reduction of B^c for this (p, j) block
                     if ft:
-                        cm = (tr.span("reduce_bc", cat="checksum", tid=tid,
+                        with (tr.span("reduce_bc", cat="checksum", tid=tid,
                                       args={"p0": p0, "j0": j0})
-                              if tr is not None else NULL_SPAN)
-                        with cm:
-                            bc = bc_share[:, :plen].sum(axis=0)
-                            abs_bc = abs_bc_share[:, :plen].sum(axis=0)
-                            counters.checksum_flops += 2 * self.n_threads * plen
+                              if tr is not None else NULL_SPAN):
+                            sums = b_parts[:, :, :plen].sum(axis=0)
+                            fused.bc, fused.abs_bc = sums[0], sums[1]
+                            counters.checksum_flops += 2 * n_threads * plen
                             if weighted:
-                                bc_w = bc_share_w[:, :plen].sum(axis=0)
-                                counters.checksum_flops += self.n_threads * plen
+                                fused.bc_w = sums[2]
+                                counters.checksum_flops += n_threads * plen
 
                     packed_b_full = PackedPanels(
                         data=btilde[:n_panels_j, :plen, :], valid=jlen
@@ -488,76 +377,33 @@ class ParallelFTGemm:
                             counters.pack_a_bytes += packed_a.nbytes
                             counters.stores_bytes += packed_a.nbytes
                         if ft:
-                            cm = (tr.span("checksum_update", cat="checksum",
-                                          tid=tid,
-                                          args={"site": "pack_a",
-                                                "i0": i0, "p0": p0})
-                                  if tr is not None else NULL_SPAN)
-                            with cm:
-                                # reuse the loaded A block for the C^c prediction
-                                ledger.col_pred[i0 : i0 + ilen] += alpha * (
-                                    a_blk @ bc
-                                )
-                                ledger.env_col[i0 : i0 + ilen] += abs(alpha) * (
-                                    np.abs(a_blk) @ abs_bc
-                                )
-                                counters.checksum_flops += 4 * ilen * plen
-                                if weighted:
-                                    ledger.col_pred_w[i0 : i0 + ilen] += alpha * (
-                                        a_blk @ bc_w
-                                    )
-                                    counters.checksum_flops += 2 * ilen * plen
-                                injector.visit(
-                                    "checksum",
-                                    ledger.col_pred[i0 : i0 + ilen],
-                                    tid=tid,
-                                )
-                        injector.visit("pack_a", packed_a.data, tid=tid)
+                            with fused.span("pack_a", i0=i0, p0=p0):
+                                fused.update_a(a_blk, i0)
+                        visit("pack_a", packed_a.data)
                         c_block = c[i0 : i0 + ilen, j0 : j0 + jlen]
 
                         def hook(tile: np.ndarray, ti: int, tj: int) -> None:
-                            injector.visit("microkernel", tile, tid=tid)
+                            visit("microkernel", tile)
                             if on_tile is not None:
                                 on_tile(tile, ti, tj)
 
-                        ref_kwargs = {}
-                        if ft and last_p:
-                            ref_kwargs = dict(
-                                row_ref=ledger.row_ref[j0 : j0 + jlen],
-                                col_ref=ledger.col_ref[i0 : i0 + ilen],
-                            )
-                            if weighted:
-                                ref_kwargs.update(
-                                    row_ref_w=ledger.row_ref_w[j0 : j0 + jlen],
-                                    col_ref_w=ledger.col_ref_w[i0 : i0 + ilen],
-                                    row_weights=w_m[i0 : i0 + ilen],
-                                    col_weights=w_n[j0 : j0 + jlen],
-                                )
-                        trace_args = (
-                            {"tid": tid, "i0": i0, "j0": j0}
-                            if tr is not None
-                            else None
+                        kwargs = (
+                            fused.refs(i0, ilen, j0, jlen) if ft and last_p else {}
+                        )
+                        kwargs.update(
+                            counters=counters,
+                            tracer=tr,
+                            trace_args=({"tid": tid, "i0": i0, "j0": j0}
+                                        if tr is not None else None),
                         )
                         if use_batched:
                             macro_kernel_batched(
-                                packed_a,
-                                packed_b_full,
-                                c_block,
-                                counters=counters,
-                                tracer=tr,
-                                trace_args=trace_args,
-                                **ref_kwargs,
+                                packed_a, packed_b_full, c_block, **kwargs
                             )
                         else:
                             macro_kernel(
-                                packed_a,
-                                packed_b_full,
-                                c_block,
-                                on_tile=hook,
-                                counters=counters,
-                                tracer=tr,
-                                trace_args=trace_args,
-                                **ref_kwargs,
+                                packed_a, packed_b_full, c_block,
+                                on_tile=hook, **kwargs,
                             )
                         counters.loads_bytes += (
                             packed_b_full.n_panels * packed_a.nbytes
@@ -568,16 +414,8 @@ class ParallelFTGemm:
                     yield  # barrier: macro phase done, B̃ reusable
                     counters.barriers += 1
 
-        if fail_stops or self.order is not None:
-            team = make_team(
-                self.n_threads,
-                self.backend,
-                fail_stops=fail_stops,
-                order=self.order,
-                tracer=tr,
-            )
-        else:
-            team = make_team(self.n_threads, self.backend, tracer=tr)
+        team = make_team(n_threads, self.backend, fail_stops=fail_stops,
+                         order=self.order, tracer=tr)
         team.run(worker)
 
         # ---- serial epilogue: reduce counters, recover from deaths, verify
@@ -589,16 +427,8 @@ class ParallelFTGemm:
         if team.deaths:
             t0 = tr.now_us() if tr is not None else 0.0
             recovery = self._recover_from_deaths(
-                team,
-                a,
-                b,
-                c,
-                alpha=alpha,
-                beta=beta,
-                c0=c0,
-                row_part=row_part,
-                p_blocks=p_blocks,
-                j_blocks=j_blocks,
+                team, a, b, c, alpha=alpha, beta=beta, c0=c0,
+                row_part=row_part, p_blocks=p_blocks, j_blocks=j_blocks,
                 counters=total,
             )
             if tr is not None:
@@ -622,14 +452,8 @@ class ParallelFTGemm:
                 # checksum state from first principles over the recovered C
                 t0 = tr.now_us() if tr is not None else 0.0
                 ledger = ledger_from_state(
-                    a,
-                    b,
-                    c,
-                    alpha=alpha,
-                    beta=beta,
-                    c0=c0,
-                    weighted=weighted,
-                    counters=total,
+                    a, b, c, alpha=alpha, beta=beta, c0=c0,
+                    weighted=weighted, counters=total,
                 )
                 if tr is not None:
                     tr.complete(
@@ -638,53 +462,14 @@ class ParallelFTGemm:
                         t0_us=t0,
                     )
             else:
-                ledger = ledgers[0]
-                for other in ledgers[1:]:
-                    ledger.add(other)
-            if self.config.enable_supervisor:
-                supervisor = EscalationSupervisor(
-                    a,
-                    b,
-                    alpha=alpha,
-                    beta=beta,
-                    c0=c0,
-                    config=self.config,
-                    counters=total,
-                    injector=raw_injector,
-                    tracer=tr,
-                )
-                try:
-                    reports, verified, recovery = supervisor.finalize(
-                        c, ledger, report=recovery
-                    )
-                finally:
-                    injector.mark_detected(total.errors_detected)
-                    mark_corrected = getattr(injector, "mark_corrected", None)
-                    if mark_corrected is not None:
-                        mark_corrected(total.errors_corrected)
-                if not (recovery.rounds or recovery.quarantined):
-                    recovery = None
-            else:
-                verifier = Verifier(
-                    a,
-                    b,
-                    alpha=alpha,
-                    beta=beta,
-                    c0=c0,
-                    config=self.config,
-                    counters=total,
-                    injector=raw_injector,
-                    tracer=tr,
-                )
-                try:
-                    reports, verified = verifier.finalize(c, ledger)
-                finally:
-                    injector.mark_detected(total.errors_detected)
-                    mark_corrected = getattr(injector, "mark_corrected", None)
-                    if mark_corrected is not None:
-                        mark_corrected(total.errors_corrected)
-                if recovery is not None and recovery.rounds and verified:
-                    recovery.rounds[-1].succeeded = True
+                ledger = stages[0].ledger
+                for stage in stages[1:]:
+                    ledger.add(stage.ledger)
+            reports, verified, recovery = verify(
+                c, ledger, a=a, b=b, alpha=alpha, beta=beta, c0=c0,
+                config=self.config, counters=total, injector=injector,
+                tracer=tr, recovery=recovery,
+            )
         elif recovery is not None and recovery.rounds:
             # unprotected run: no verification pass follows, the direct
             # re-execution is the whole recovery story

@@ -27,8 +27,10 @@ import numpy as np
 
 from repro.abft.correct import correct_from_residuals
 from repro.abft.locate import COLS_ONLY, ROWS_ONLY, locate
+from repro.abft.tolerance import EPS, ToleranceConfig
 from repro.core.config import FTGemmConfig
 from repro.core.results import VerificationReport
+from repro.faults.sites import KERNEL_SITES
 from repro.simcpu.counters import Counters
 from repro.util.errors import UncorrectableError
 
@@ -105,9 +107,26 @@ class ChecksumLedger:
                     mine += theirs
 
 
-#: kernel sites whose sticky faults re-poison recomputed C lines (the
-#: recompute flows through the same packed-buffer path the fault lives in)
-_KERNEL_STICKY_SITES = ("microkernel", "pack_a", "pack_b")
+def envelope_tolerances(
+    ledger: ChecksumLedger,
+    m: int,
+    n: int,
+    k: int,
+    *,
+    beta: float,
+    tolerance: ToleranceConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-entry residual thresholds ``(tol_rows, tol_cols)`` of an
+    ``m×n×k`` call from the ledger's fused round-off envelopes (and the
+    ``|C₀|`` sums when ``beta != 0``) — the one tolerance formula shared
+    by final verification and the eager probes."""
+    tol = tolerance
+    tol_rows = tol.safety * (k + m + 2) * EPS * ledger.env_row + tol.floor
+    tol_cols = tol.safety * (k + n + 2) * EPS * ledger.env_col + tol.floor
+    if beta != 0.0 and ledger.c0_abs_row is not None:
+        tol_rows = tol_rows + tol.safety * (m + 2) * EPS * abs(beta) * ledger.c0_abs_row
+        tol_cols = tol_cols + tol.safety * (n + 2) * EPS * abs(beta) * ledger.c0_abs_col
+    return tol_rows, tol_cols
 
 
 class Verifier:
@@ -174,19 +193,11 @@ class Verifier:
     # ------------------------------------------------------------ tolerances
     def tolerances(self, ledger: ChecksumLedger) -> tuple[np.ndarray, np.ndarray]:
         """Assemble the per-entry thresholds from the fused envelopes."""
-        from repro.abft.tolerance import EPS
-
-        tol = self.config.tolerance
         m, k = self.a.shape
-        n = self.b.shape[1]
-        g_row = (k + m + 2) * EPS
-        g_col = (k + n + 2) * EPS
-        tol_rows = tol.safety * g_row * ledger.env_row + tol.floor
-        tol_cols = tol.safety * g_col * ledger.env_col + tol.floor
-        if self.beta != 0.0 and ledger.c0_abs_row is not None:
-            tol_rows = tol_rows + tol.safety * (m + 2) * EPS * abs(self.beta) * ledger.c0_abs_row
-            tol_cols = tol_cols + tol.safety * (n + 2) * EPS * abs(self.beta) * ledger.c0_abs_col
-        return tol_rows, tol_cols
+        return envelope_tolerances(
+            ledger, m, self.b.shape[1], k, beta=self.beta,
+            tolerance=self.config.tolerance,
+        )
 
     # -------------------------------------------------------------- the loop
     def finalize(self, c: np.ndarray, ledger: ChecksumLedger) -> tuple[list[VerificationReport], bool]:
@@ -462,14 +473,14 @@ class Verifier:
             fresh = self.alpha * (self.a[idx, :] @ self.b)
             if self.beta != 0.0:
                 fresh += self.beta * self.c0[idx, :]
-            self._poison(fresh, sites=_KERNEL_STICKY_SITES)
+            self._poison(fresh, sites=KERNEL_SITES)
             c[idx, :] = fresh
         if cols:
             jdx = np.asarray(cols, dtype=np.intp)
             fresh = self.alpha * (self.a @ self.b[:, jdx])
             if self.beta != 0.0:
                 fresh += self.beta * self.c0[:, jdx]
-            self._poison(fresh, sites=_KERNEL_STICKY_SITES)
+            self._poison(fresh, sites=KERNEL_SITES)
             c[:, jdx] = fresh
         self.counters.blocks_recomputed += len(rows) + len(cols)
         k = self.a.shape[1]

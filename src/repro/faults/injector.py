@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.faults.models import FailStop, FaultModel, default_model
-from repro.faults.sites import ALL_SITES, validate_site
+from repro.faults.sites import ALL_SITES, KERNEL_SITES, validate_site
 from repro.util.errors import ConfigError, SimulationError
 from repro.util.rng import derive_seed
 
@@ -44,8 +44,6 @@ from repro.util.rng import derive_seed
 #: micro-panel that flows through the stuck buffer slot; this is the modeled
 #: panel width (elements per pass over the stuck slot)
 _REPLAY_PERIOD = 8
-
-_KERNEL_SITES = ("microkernel", "pack_a", "pack_b")
 
 
 @dataclass
@@ -290,7 +288,7 @@ class FaultInjector:
         for fault in self._sticky:
             if sites is not None and fault.site not in sites:
                 continue
-            if fault.site in _KERNEL_SITES:
+            if fault.site in KERNEL_SITES:
                 start = fault.flat_index % _REPLAY_PERIOD
                 positions = range(start, array.size, _REPLAY_PERIOD)
             else:

@@ -16,12 +16,12 @@ from repro.util.errors import ConfigError
 
 
 #: Legal macro-kernel dispatch modes: ``"auto"`` picks the fastest legal
-#: mode per call (batched on the clean path, tile whenever a per-tile
-#: consumer — an ``on_tile`` hook, a memory sink, or a fault injector — is
-#: attached); ``"tile"`` forces the per-tile sweep; ``"batched"`` requests
-#: the block-level contraction but still degrades to tile mode when
-#: per-tile granularity is required.
-DISPATCH_MODES = ("auto", "tile", "batched")
+#: mode per call (the batched block-level contraction on the clean path,
+#: tile whenever a per-tile consumer — an ``on_tile`` hook, a memory sink,
+#: or a kernel-site fault injector — is attached); ``"tile"`` forces the
+#: per-tile sweep. Drivers report the mode that ran (``"batched"`` or
+#: ``"tile"``) as ``last_mode``.
+DISPATCH_MODES = ("auto", "tile")
 
 
 @dataclass(frozen=True)

@@ -245,9 +245,8 @@ class BlockedGemm:
 
         ``tile`` whenever per-tile granularity is required — a ``dispatch=
         "tile"`` config, an ``on_tile`` hook, or an instrumented/injected
-        run — otherwise ``batched``. An explicit ``dispatch="batched"``
-        request degrades to tile mode under the same conditions (the fast
-        path must never change observable per-tile behaviour).
+        run — otherwise ``batched`` (the fast path must never change
+        observable per-tile behaviour).
         """
         if self.config.dispatch == "tile":
             return "tile"

@@ -84,7 +84,7 @@ class EncodedBBlock:
     packed: PackedPanels
     #: ``|B̃|`` columns of this block, ``(plen, width)`` view
     abs_cols: np.ndarray
-    #: ``B^c`` partial ``B_blk·e`` (bit-identical to the fused path)
+    #: ``B^c`` partial ``B_blk·e`` (computed as the fused path does)
     bc: np.ndarray
     #: envelope partial ``|B_blk|·e``
     abs_bc: np.ndarray
@@ -185,13 +185,16 @@ class PackedB:
 def encode_b(b: np.ndarray, config: BlockingConfig) -> PackedB:
     """Pack and checksum-encode an entire B under ``config``'s geometry.
 
-    This is the cold-miss path: it performs exactly the per-(p, j) work
-    the fused driver would (pack + ``B^c`` + envelope + weighted
-    partials) but into cache-owned consolidated buffers, once, instead
-    of into the per-call workspace arena on every request. The weighted
-    partials are always encoded so one entry serves both checksum
-    schemes.
+    This is the cold-miss path: it performs the per-(p, j) work of the
+    fused pack-B pass (pack + the ``B^c`` / envelope / weighted partials
+    of :func:`repro.core.fused.b_partials`, the function that pass uses)
+    but into cache-owned consolidated buffers, once, instead of into the
+    per-call workspace arena on every request. The weighted partials are
+    always encoded so one entry serves both checksum schemes.
     """
+    # imported here: repro.core depends on this package at import time
+    from repro.core.fused import b_partials
+
     b = np.asarray(b, dtype=np.float64)
     if b.ndim != 2:
         raise ShapeError(f"B must be 2-D, got shape {b.shape}")
@@ -209,6 +212,8 @@ def encode_b(b: np.ndarray, config: BlockingConfig) -> PackedB:
     jblocks = list(iter_blocks(n, config.nc))
     widths = [config.micro_panels_n(jlen) * config.nr for _, jlen in jblocks]
     total_w = sum(widths)
+    # global column weights of the weighted scheme: w_n = 1..n
+    w_n = np.arange(1.0, n + 1.0)
     for p0, plen in iter_blocks(k, config.kc):
         stack = np.zeros((2 * plen, total_w), dtype=np.float64)
         cols = stack[:plen]
@@ -230,11 +235,8 @@ def encode_b(b: np.ndarray, config: BlockingConfig) -> PackedB:
                 cols[:, woff : woff + width],
                 out=abs_cols[:, woff : woff + width],
             )
-            aux[3 * j_idx] = b_blk.sum(axis=1)
-            aux[3 * j_idx + 1] = np.abs(b_blk).sum(axis=1)
-            # global column weights of the weighted scheme: w_n = 1..n
-            aux[3 * j_idx + 2] = b_blk @ np.arange(
-                j0 + 1.0, j0 + jlen + 1.0
+            aux[3 * j_idx : 3 * j_idx + 3] = b_partials(
+                b_blk, np.abs(b_blk), w_n[j0 : j0 + jlen]
             )
             packed = panels_from_cols(
                 cols[:, woff : woff + width], config.nr, jlen

@@ -9,7 +9,7 @@ pairing elements ``(i, j = i + half)`` into
 with twiddle ``w = exp(-2*pi*1j*q/m)``. Because every stage is a *linear*
 map of its input, Huang–Abraham checksums extend stage by stage (the
 TurboFFT construction): pick output weight vectors ``w1 = (1..N)`` and
-``w2 = (1..N)^2`` and fold them **analytically through the butterflies**
+``w2 = (1..N)^2`` (plus ``w3``, below) and fold them **analytically through the butterflies**
 onto the stage's input —
 
     w1 . out = v1 . in   where   v1[i] = w1[i] + w1[j]
@@ -21,8 +21,13 @@ actual ``w1 . out`` after. A single corrupted output element ``p`` (bit
 flip in its real or imaginary float) leaves residuals ``r1 = w1[p]*d``
 and ``r2 = w2[p]*d``, so the ratio ``r2/r1 = w2[p]/w1[p] = p+1``
 localizes it — the 1-D twin of FT-GEMM's row/column intersection — and
-``out[p] -= r1/w1[p]`` repairs it in place. Multi-error patterns (burst
-models, weight-side corruption) recompute the stage from its retained
+``out[p] -= r1/w1[p]`` repairs it in place. Two errors can mimic one in
+``(r1, r2)`` (``d = +1, -1`` at elements 17 and 25 give ``r2/r1 = 44``,
+and "repairing" element 43 zeroes both), so a third weight
+``w3 = (1..N)^3`` is carried too and a repair stands only when all three
+residuals clear: no two-error pattern matches a single error in three
+moments. Multi-error patterns (burst models, weight-side corruption, a
+rejected repair) recompute the stage from its retained
 input, which never revisits the injector, so even a *sticky* fault
 converges: each later stage pays one detect+repair and the final
 spectrum is clean.
@@ -98,10 +103,10 @@ def ft_fft(x, *, injector=None) -> BlasResult:
     length). Returns a :class:`BlasResult` whose ``value`` is the
     complex128 spectrum.
 
-    Per stage: predict dual weighted checksums from the stage input,
+    Per stage: predict three weighted checksums from the stage input,
     run the butterflies, visit the injector, verify; localize+repair a
-    single error by residual ratio, recompute the stage from its
-    retained input otherwise.
+    single error by residual ratio (kept only if all three residuals
+    clear), recompute the stage from its retained input otherwise.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
@@ -114,6 +119,7 @@ def ft_fft(x, *, injector=None) -> BlasResult:
 
     w1 = np.arange(1.0, n + 1.0).astype(np.complex128)
     w2 = (np.arange(1.0, n + 1.0) ** 2).astype(np.complex128)
+    w3 = (np.arange(1.0, n + 1.0) ** 3).astype(np.complex128)
     data = x[_bit_reverse_indices(n)].astype(np.complex128)
     # stage-input checkpoint, reused across stages (the stage loop is an
     # analyzer-watched hot loop: no per-iteration allocation)
@@ -125,6 +131,7 @@ def ft_fft(x, *, injector=None) -> BlasResult:
         v2 = _fold_weights(w2, i_idx, j_idx, tw)
         pred1 = v1 @ data
         pred2 = v2 @ data
+        pred3 = _fold_weights(w3, i_idx, j_idx, tw) @ data
         env_in = float(np.abs(w1) @ np.abs(data))
         np.copyto(before, data)
         _butterfly(data, i_idx, j_idx, tw)
@@ -132,7 +139,7 @@ def ft_fft(x, *, injector=None) -> BlasResult:
             # strike real/imaginary float components through a view of
             # the live stage output
             injector.visit("fft_stage", data.view(np.float64))
-        result.protection_flops += 24 * n
+        result.protection_flops += 32 * n
 
         env = 64.0 * EPS * n * (
             float(np.abs(w1) @ np.abs(data)) + env_in + _TINY
@@ -151,8 +158,13 @@ def ft_fft(x, *, injector=None) -> BlasResult:
                 and abs(ratio - p) <= 1e-6 * max(1.0, abs(p))
             ):
                 data[p - 1] -= r1 / w1[p - 1]
-                # re-verify the repair against the same predictions
-                if abs((w1 @ data) - pred1) <= env:
+                # re-verify the repair against all three predictions: two
+                # errors can mimic one in (r1, r2), never in (r1, r2, r3)
+                if (
+                    abs((w1 @ data) - pred1) <= env
+                    and abs((w2 @ data) - pred2) <= env * n
+                    and abs((w3 @ data) - pred3) <= env * n * n
+                ):
                     result.corrected += 1
                     repaired = True
                 else:

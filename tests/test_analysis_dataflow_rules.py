@@ -256,6 +256,52 @@ class FtDriver:
     assert findings_for(tmp_path, good, "ledger-coverage") == []
 
 
+def test_ledger_fused_stage_call_is_the_mirror(tmp_path):
+    """A driver mirrors its write through the shared fused-pass stage;
+    the same method name on any other receiver proves nothing."""
+    template = """\
+class FtDriver:
+    def __init__(self, ledger):
+        self._fused = Stage(ledger)
+
+    def verify(self, c):
+        return check(c, self._fused.ledger)
+
+    def _pack_b_block(self, b, p):
+        panel = super()._pack_b_block(b, p)
+        self.RECEIVER.update_b(b, p, 0)
+        return panel
+"""
+    good = template.replace("RECEIVER", "_fused")
+    assert findings_for(tmp_path, good, "ledger-coverage") == []
+    bad = template.replace("RECEIVER", "packer")
+    found = findings_for(tmp_path, bad, "ledger-coverage")
+    assert [f.message.split("(")[0] for f in found] == ["_pack_b_block"]
+
+
+def test_ledger_fused_pass_must_touch_the_ledger(tmp_path):
+    """Drivers trust a call to a fused pass, so the pass itself is
+    checked: it must store into the ledger, directly or via a helper."""
+    template = """\
+class Stage:
+    def __init__(self, ledger):
+        self.ledger = ledger
+
+    def update_b(self, b_blk, p0, j0):
+        self.bc = b_blk.sum(axis=1)
+        self._mirror(b_blk, j0)
+
+    def _mirror(self, b_blk, j0):
+        BODY
+"""
+    good = template.replace("BODY", "self.ledger.row_pred[j0] += b_blk.sum()")
+    assert findings_for(tmp_path, good, "ledger-coverage") == []
+    bad = template.replace("BODY", "self.total = b_blk.sum()")
+    found = findings_for(tmp_path, bad, "ledger-coverage")
+    assert len(found) == 1
+    assert found[0].message.startswith("update_b(): fused pass")
+
+
 def test_ledger_ft_off_branch_is_pruned(tmp_path):
     """The unprotected fast path makes no checksum promises: a write
     reachable only through ``if not self.ft:`` is out of scope."""

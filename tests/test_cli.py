@@ -47,18 +47,18 @@ def test_validate_weighted_beta(capsys):
 
 
 def test_validate_explicit_modes(capsys):
-    for mode in ("tile", "batched"):
+    for mode in ("tile", "auto"):
         assert repro_main(["validate", "--size", "20", "--mode", mode]) == 0
         assert "MATCH" in capsys.readouterr().out
 
 
 def test_inject_batched_mode_falls_back_to_tile(capsys):
     code = repro_main(
-        ["inject", "--size", "48", "--errors", "2", "--mode", "batched"]
+        ["inject", "--size", "48", "--errors", "2", "--mode", "auto"]
     )
     assert code == 0
     out = capsys.readouterr().out
-    assert "dispatch=batched -> ran tile" in out
+    assert "dispatch=auto -> ran tile" in out
 
 
 def test_dispatch_subcommand(capsys):

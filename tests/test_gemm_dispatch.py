@@ -36,6 +36,10 @@ COUNTER_FIELDS = (
     "microkernel_calls",
 )
 
+#: the mode each dispatch option runs on a clean call, keyed by that mode
+#: (``last_mode``): ``"auto"`` takes the batched fast path when legal
+DISPATCH_FOR = {"tile": "tile", "batched": "auto"}
+
 SHAPES = [
     (8, 12, 8),     # exact multiples of every block size
     (37, 29, 23),   # ragged everywhere
@@ -53,7 +57,7 @@ def _counters_dict(counters: Counters) -> dict[str, int]:
 
 
 def test_dispatch_modes_constant():
-    assert DISPATCH_MODES == ("auto", "tile", "batched")
+    assert DISPATCH_MODES == ("auto", "tile")
 
 
 def test_invalid_dispatch_rejected():
@@ -107,8 +111,8 @@ def test_blocked_gemm_modes_equivalent(rng, m, n, k):
     b = rng.standard_normal((k, n))
     c0 = rng.standard_normal((m, n))
     runs = {}
-    for mode in ("tile", "batched"):
-        driver = BlockedGemm(BlockingConfig.small(dispatch=mode))
+    for mode, dispatch in DISPATCH_FOR.items():
+        driver = BlockedGemm(BlockingConfig.small(dispatch=dispatch))
         out = driver.gemm(a, b, c0.copy(), alpha=1.25, beta=0.5)
         assert driver.last_mode == mode
         runs[mode] = (out, _counters_dict(driver.counters))
@@ -129,9 +133,9 @@ def test_ftgemm_modes_equivalent(rng, m, n, k, scheme):
     b = rng.standard_normal((k, n))
     c0 = rng.standard_normal((m, n))
     runs = {}
-    for mode in ("tile", "batched"):
+    for mode, dispatch in DISPATCH_FOR.items():
         config = FTGemmConfig(
-            blocking=BlockingConfig.small(dispatch=mode),
+            blocking=BlockingConfig.small(dispatch=dispatch),
             checksum_scheme=scheme,
         )
         driver = FTGemm(config)
@@ -152,9 +156,9 @@ def test_parallel_modes_equivalent(rng, scheme):
     a = rng.standard_normal((m, k))
     b = rng.standard_normal((k, n))
     runs = {}
-    for mode in ("tile", "batched"):
+    for mode, dispatch in DISPATCH_FOR.items():
         config = FTGemmConfig(
-            blocking=BlockingConfig.small(dispatch=mode),
+            blocking=BlockingConfig.small(dispatch=dispatch),
             checksum_scheme=scheme,
         )
         driver = ParallelFTGemm(config, n_threads=3)
@@ -181,7 +185,7 @@ def test_auto_picks_batched_on_clean_path(rng):
 
 def test_on_tile_hook_forces_tile_mode(rng):
     seen = []
-    driver = BlockedGemm(BlockingConfig.small(dispatch="batched"))
+    driver = BlockedGemm(BlockingConfig.small())
     driver.gemm(
         rng.standard_normal((10, 10)),
         rng.standard_normal((10, 10)),
@@ -194,14 +198,14 @@ def test_on_tile_hook_forces_tile_mode(rng):
 def test_memory_sink_forces_tile_mode(rng):
     from repro.simcpu.trace import AccessTrace
 
-    driver = BlockedGemm(BlockingConfig.small(dispatch="batched"), sink=AccessTrace())
+    driver = BlockedGemm(BlockingConfig.small(), sink=AccessTrace())
     driver.gemm(rng.standard_normal((10, 10)), rng.standard_normal((10, 10)))
     assert driver.last_mode == "tile"
 
 
-@pytest.mark.parametrize("dispatch", ["auto", "batched"])
+@pytest.mark.parametrize("dispatch", ["auto"])
 def test_injector_forces_tile_and_detection_is_unchanged(rng, dispatch):
-    """Fault injection under dispatch="batched" behaves exactly like tile
+    """Fault injection under dispatch="auto" behaves exactly like tile
     mode: the run degrades to per-tile execution and every fault is still
     detected, located and corrected."""
     m = n = k = 24
@@ -223,7 +227,7 @@ def test_injector_forces_tile_and_detection_is_unchanged(rng, dispatch):
     assert results[dispatch].corrected == results["tile"].corrected
 
 
-@pytest.mark.parametrize("dispatch", ["auto", "batched"])
+@pytest.mark.parametrize("dispatch", ["auto"])
 def test_checksum_site_injection_keeps_batching(rng, dispatch):
     """A strike on the checksum buffer never touches kernel state, so the
     fast path stays batched: the checksum is re-derived and C is bit-for-bit
@@ -300,8 +304,8 @@ def test_ft_gemm_batched_dispatch_override(rng):
     b = rng.standard_normal((3, 8, 9))
     config = FTGemmConfig(blocking=BlockingConfig.small())
     runs = {
-        mode: ft_gemm_batched(a, b, config=config, dispatch=mode)
-        for mode in ("tile", "batched")
+        mode: ft_gemm_batched(a, b, config=config, dispatch=dispatch)
+        for mode, dispatch in DISPATCH_FOR.items()
     }
     for result in runs.values():
         assert result.verified
@@ -317,7 +321,7 @@ def test_ft_gemm_batched_dispatch_override(rng):
 # --------------------------------------------------------- workspace arena
 
 
-@pytest.mark.parametrize("mode", ["tile", "batched"])
+@pytest.mark.parametrize("mode", ["tile", "auto"])
 def test_loop_nest_never_allocates_packing_buffers(rng, monkeypatch, mode):
     """The loop nest always hands pack_a/pack_b an ``out=`` arena view, and
     once the workspace exists not a single fresh panel buffer (3-D

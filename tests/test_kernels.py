@@ -187,6 +187,40 @@ def test_ft_fft_repairs_a_single_stage_error(rng):
     np.testing.assert_allclose(blas.value, np.fft.fft(x), rtol=0, atol=1e-9)
 
 
+def test_ft_fft_two_errors_mimicking_one_are_not_repaired():
+    """Seed 574 of the mixed serving workload: stage 5 gets d = +1 at
+    element 17 and d = -1 at element 25, so r2/r1 = 44 and "repairing"
+    element 43 clears both plain residuals. The third weighted checksum
+    rejects that repair, the stage is recomputed, and the served answer
+    is right."""
+    from repro.serve import MIXED_SHAPES, ServiceConfig, WorkloadConfig
+    from repro.serve import make_injector_factory
+
+    factory = make_injector_factory(WorkloadConfig(
+        fault_rate=1.0, errors_per_call=2, seed=1, shapes=MIXED_SHAPES))
+    fft = get_kernel("fft")
+    request = fft.sample_request((64,), np.random.default_rng(574))
+    injector = factory((64,), 0, "x-574", ServiceConfig(), "fft")
+    result = fft.run(request, injector=injector)
+    assert injector.n_injected == 2
+    assert result.verified
+    np.testing.assert_allclose(result.c, fft.oracle(request), rtol=0, atol=1e-9)
+
+
+def test_ft_fft_stuck_bit_sweep_never_answers_wrong():
+    """3000 seeded two-error stuck-bit plans at n = 64: every spectrum is
+    right (each plan is detected and repaired or recomputed)."""
+    fft = get_kernel("fft")
+    wrong = []
+    for seed in range(3000):
+        x = np.random.default_rng(seed).standard_normal(64)
+        plan = fft.plan((64,), 2, model=StuckBit(bit=51), seed=seed)
+        out = ft_fft(x, injector=FaultInjector(plan)).value
+        if not np.allclose(out, np.fft.fft(x), rtol=0, atol=1e-9):
+            wrong.append(seed)
+    assert wrong == []
+
+
 def test_ft_fft_rejects_non_power_of_two():
     from repro.util.errors import ShapeError
 
