@@ -31,6 +31,7 @@ import ast
 from typing import Callable, Iterable
 
 from repro.analysis.cfg import CFG, Node
+from repro.analysis.engine import walk
 
 __all__ = [
     "assigned_names",
@@ -190,5 +191,5 @@ def escapes(cfg: CFG, name: str, *, ignore_calls: bool = False) -> bool:
 def _mentions(node: ast.AST, name: str) -> bool:
     return any(
         isinstance(sub, ast.Name) and sub.id == name
-        for sub in ast.walk(node)
+        for sub in walk(node)
     )

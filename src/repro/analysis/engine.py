@@ -26,7 +26,9 @@ Architecture:
   not say why;
 - :class:`SourceModule` also memoises one
   :class:`~repro.analysis.cfg.CFG` per function (``module.cfg(fn)``) so
-  every dataflow rule shares the graph build;
+  every dataflow rule shares the graph build, and :func:`walk` memoises
+  each subtree's node list so the rules' many re-walks of the same
+  trees cost one traversal each;
 - :func:`analyze` walks files/directories, applies every (selected)
   rule, filters suppressed findings and returns them deterministically
   sorted, which is what keeps ``--json`` output diffable against the
@@ -38,8 +40,10 @@ from __future__ import annotations
 import ast
 import difflib
 import io
+import itertools
 import re
 import tokenize
+import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -53,6 +57,7 @@ __all__ = [
     "load_module",
     "registered_rules",
     "rule",
+    "walk",
 ]
 
 #: reserved rule id for problems with suppression comments themselves
@@ -67,6 +72,21 @@ _SUPPRESS_RE = re.compile(
 #: lock" — the lock-discipline rule treats the annotated method's body
 #: as guarded (the annotation goes on or right above the ``def`` line)
 _CALLER_HOLDS_RE = re.compile(r"#\s*analysis:\s*caller-holds-lock")
+
+#: node -> the nodes strictly below it, in ``ast.walk`` order. Weak keys
+#: and values that never refer back to their key (AST children hold no
+#: parent links) let an entry die with its tree.
+_BELOW: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def walk(node: ast.AST) -> Iterator[ast.AST]:
+    """Memoised :func:`ast.walk`: the same nodes in the same order."""
+    below = _BELOW.get(node)
+    if below is None:
+        walker = ast.walk(node)
+        next(walker)
+        below = _BELOW[node] = list(walker)
+    return itertools.chain((node,), below)
 
 
 @dataclass(frozen=True, order=True)
@@ -162,7 +182,10 @@ class SourceModule:
         #: line numbers carrying a "caller holds the lock" annotation
         self.caller_holds_lock: set[int] = set()
         self._cfg_cache: dict[int, "CFG"] = {}
-        for lineno, comment in self._comments(text):
+        # both annotations spell "analysis:" — a file without it has
+        # none, and skips the tokenize pass
+        comments = self._comments(text) if "analysis:" in text else ()
+        for lineno, comment in comments:
             match = _SUPPRESS_RE.search(comment)
             if match is not None:
                 names = match.group("rules")

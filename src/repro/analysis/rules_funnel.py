@@ -39,7 +39,7 @@ from typing import Iterator
 
 from repro.analysis.cfg import CFG, Node
 from repro.analysis.dataflow import reaches_without
-from repro.analysis.engine import Finding, SourceModule, rule
+from repro.analysis.engine import Finding, SourceModule, rule, walk
 
 #: batch-execution method names inside a funnel-owning class
 _EXECUTOR_RE = re.compile(r"^_(execute|run|finish|fail|lost)")
@@ -55,7 +55,7 @@ _HANDOFF = {"_requeue_or_fail", "_dispatch", "_fail_flight"}
 
 def _binds_funnel(cls: ast.ClassDef) -> bool:
     """True when some method assigns ``self.complete = ...``."""
-    for node in ast.walk(cls):
+    for node in walk(cls):
         if isinstance(node, ast.Assign):
             for target in node.targets:
                 if (
@@ -156,7 +156,7 @@ def _leaking_returns(cfg: CFG, events: set[int]) -> list[Node]:
     "must reach the complete/_complete funnel or re-raise",
 )
 def check_funnel_completeness(module: SourceModule) -> Iterator[Finding]:
-    for cls in ast.walk(module.tree):
+    for cls in walk(module.tree):
         if not isinstance(cls, ast.ClassDef) or not _binds_funnel(cls):
             continue
         executors = [

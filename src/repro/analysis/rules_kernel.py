@@ -16,7 +16,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.engine import Finding, SourceModule, rule
+from repro.analysis.engine import Finding, SourceModule, rule, walk
 
 #: function names that are hot paths (macro/micro kernels, packing, the
 #: parallel worker bodies)
@@ -92,7 +92,7 @@ def _is_hot(name: str) -> bool:
 
 
 def _function_defs(tree: ast.AST) -> Iterator[ast.FunctionDef]:
-    for node in ast.walk(tree):
+    for node in walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield node
 
@@ -132,7 +132,7 @@ def _blocks_of(stmt: ast.stmt):
 
 
 def _calls_in(stmt: ast.stmt) -> Iterator[ast.Call]:
-    for node in ast.walk(stmt):
+    for node in walk(stmt):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             # don't descend into nested definitions; ast.walk already
             # yielded them — skip their calls by filtering on parents is

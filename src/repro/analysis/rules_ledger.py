@@ -59,7 +59,7 @@ from typing import Iterator
 
 from repro.analysis.cfg import CFG, Edge, Node
 from repro.analysis.dataflow import reaching_defs
-from repro.analysis.engine import Finding, SourceModule, rule
+from repro.analysis.engine import Finding, SourceModule, rule, walk
 
 #: FT driver methods whose super() call writes C or the packed panels
 _DRIVER_WRITERS = {
@@ -205,7 +205,7 @@ def _is_evidence(node: Node) -> bool:
         elif isinstance(sub, ast.Compare):
             if any(
                 isinstance(s, ast.Name) and _CHECKSUM_NAME.match(s.id)
-                for s in ast.walk(sub)
+                for s in walk(sub)
             ):
                 return True
         elif isinstance(sub, ast.Call):
@@ -236,7 +236,7 @@ def _is_fused_pass(call: ast.Call) -> bool:
 def _self_calls(fn: ast.FunctionDef) -> set[str]:
     return {
         sub.func.attr
-        for sub in ast.walk(fn)
+        for sub in walk(fn)
         if isinstance(sub, ast.Call)
         and isinstance(sub.func, ast.Attribute)
         and isinstance(sub.func.value, ast.Name)
@@ -282,7 +282,7 @@ def _self_evident(node: Node, write: ast.AST,
             return True
     value = getattr(write, "value", None)
     if value is not None:
-        for sub in ast.walk(value):
+        for sub in walk(value):
             if isinstance(sub, ast.Name) and _CHECKSUM_NAME.match(sub.id):
                 return True
         root = value.id if isinstance(value, ast.Name) else None
@@ -307,7 +307,7 @@ def _output_aliases(fn: ast.FunctionDef) -> set[str]:
     """The taint/alias seed: names bound to the protected output buffer
     (``BlasResult(value=x)`` / ``result.value = data``)."""
     aliases: set[str] = set()
-    for sub in ast.walk(fn):
+    for sub in walk(fn):
         if isinstance(sub, ast.Call) and _call_name(sub) == "BlasResult":
             for kw in sub.keywords:
                 if kw.arg == "value" and isinstance(kw.value, ast.Name):
@@ -360,7 +360,7 @@ def _writes_in(node: Node, aliases: set[str], driver: bool) -> list[ast.AST]:
 def _ledger_class(cls: ast.ClassDef) -> bool:
     return any(
         isinstance(sub, ast.Attribute) and sub.attr in ("_ledger", "ledger")
-        for sub in ast.walk(cls)
+        for sub in walk(cls)
     )
 
 
@@ -372,7 +372,7 @@ def _ledger_class(cls: ast.ClassDef) -> bool:
 )
 def check_ledger_coverage(module: SourceModule) -> Iterator[Finding]:
     scopes: list[tuple[ast.FunctionDef, bool]] = []
-    for node in ast.walk(module.tree):
+    for node in walk(module.tree):
         if isinstance(node, ast.ClassDef) and _ledger_class(node):
             for fn in _unmirrored_passes(module, node):
                 yield module.finding(

@@ -22,7 +22,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.engine import Finding, SourceModule, rule
+from repro.analysis.engine import Finding, SourceModule, rule, walk
 
 _TRACER_PARAMS = {"tracer", "tr"}
 
@@ -41,7 +41,7 @@ def _is_tracer_receiver(node: ast.expr) -> bool:
     "retroactively with an explicit t0_us=",
 )
 def check_span_pairing(module: SourceModule) -> Iterator[Finding]:
-    for node in ast.walk(module.tree):
+    for node in walk(module.tree):
         if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call):
             call = node.value
             func = call.func
@@ -93,7 +93,7 @@ def _is_none(node: ast.expr | None) -> bool:
 
 
 def _has_guard(fn: ast.FunctionDef, name: str) -> bool:
-    for node in ast.walk(fn):
+    for node in walk(fn):
         if isinstance(node, ast.Compare):
             operands = [node.left, *node.comparators]
             if any(
@@ -126,14 +126,14 @@ def _has_guard(fn: ast.FunctionDef, name: str) -> bool:
     "methods (NULL_TRACER-safe defaults)",
 )
 def check_tracer_guard(module: SourceModule) -> Iterator[Finding]:
-    for fn in ast.walk(module.tree):
+    for fn in walk(module.tree):
         if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         params = _tracer_param_names(fn)
         for name in sorted(params):
             uses = [
                 node
-                for node in ast.walk(fn)
+                for node in walk(fn)
                 if isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
                 and isinstance(node.func.value, ast.Name)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.analysis.engine import Finding, SourceModule, rule
+from repro.analysis.engine import Finding, SourceModule, rule, walk
 
 
 def _is_bare_yield(stmt: ast.stmt) -> bool:
@@ -46,7 +46,7 @@ def _is_barrier_count(stmt: ast.stmt) -> bool:
 
 
 def _worker_generators(tree: ast.AST) -> Iterator[ast.FunctionDef]:
-    for node in ast.walk(tree):
+    for node in walk(tree):
         if not isinstance(node, ast.FunctionDef):
             continue
         if node.name == "worker" or node.name.endswith("_worker"):
@@ -92,7 +92,7 @@ def _yields_with_context(fn: ast.FunctionDef):
 def check_barrier_pairing(module: SourceModule) -> Iterator[Finding]:
     has_recovery = any(
         isinstance(node, ast.FunctionDef) and node.name == "_recover_from_deaths"
-        for node in ast.walk(module.tree)
+        for node in walk(module.tree)
     )
     for fn in _worker_generators(module.tree):
         yields = list(_yields_with_context(fn))
@@ -130,7 +130,7 @@ def check_barrier_pairing(module: SourceModule) -> Iterator[Finding]:
                     f"{depth_deep} at depth >= 2",
                 )
     if has_recovery and "1 + 2 * t" not in module.text:
-        for node in ast.walk(module.tree):
+        for node in walk(module.tree):
             if (
                 isinstance(node, ast.FunctionDef)
                 and node.name == "_recover_from_deaths"

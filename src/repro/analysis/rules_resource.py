@@ -37,13 +37,13 @@ import ast
 from typing import Iterator
 
 from repro.analysis.cfg import CFG, Node
-from repro.analysis.engine import Finding, SourceModule, rule
+from repro.analysis.engine import Finding, SourceModule, rule, walk
 
 _VIEW_METHODS = {"a_view", "b_view"}
 
 
 def _functions(tree: ast.AST) -> Iterator[ast.FunctionDef]:
-    for node in ast.walk(tree):
+    for node in walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield node
 
@@ -188,14 +188,14 @@ def _mentions(node: ast.AST, name: str) -> bool:
     count, ``seg.name``/``seg.buf`` (attribute reads that copy a field
     out, not the mapping) do not."""
     attribute_values = {
-        id(sub.value) for sub in ast.walk(node)
+        id(sub.value) for sub in walk(node)
         if isinstance(sub, ast.Attribute)
     }
     return any(
         isinstance(sub, ast.Name)
         and sub.id == name
         and id(sub) not in attribute_values
-        for sub in ast.walk(node)
+        for sub in walk(node)
     )
 
 
@@ -245,11 +245,11 @@ def _check_child_unlink(module: SourceModule) -> Iterator[Finding]:
     imports_attach = any(
         isinstance(node, ast.ImportFrom)
         and any(alias.name == "attach" for alias in node.names)
-        for node in ast.walk(module.tree)
+        for node in walk(module.tree)
     )
     if not imports_attach:
         return
-    for node in ast.walk(module.tree):
+    for node in walk(module.tree):
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
@@ -267,7 +267,7 @@ def _check_child_unlink(module: SourceModule) -> Iterator[Finding]:
 def _check_arena_views(module: SourceModule) -> Iterator[Finding]:
     defines_workspace = any(
         isinstance(node, ast.ClassDef) and node.name == "Workspace"
-        for node in ast.walk(module.tree)
+        for node in walk(module.tree)
     )
     if defines_workspace:
         return

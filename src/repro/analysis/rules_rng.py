@@ -39,7 +39,7 @@ from typing import Iterator
 
 from repro.analysis.cfg import CFG
 from repro.analysis.dataflow import reaching_defs
-from repro.analysis.engine import Finding, SourceModule, rule
+from repro.analysis.engine import Finding, SourceModule, rule, walk
 
 _FACTORY_MAKERS = ("make_injector_factory", "make_fault_spec_factory")
 
@@ -74,12 +74,12 @@ def _inner_factories(
 ) -> dict[str, ast.FunctionDef]:
     """maker name -> the inner closure it returns (the ``factory`` def)."""
     out: dict[str, ast.FunctionDef] = {}
-    for node in ast.walk(tree):
+    for node in walk(tree):
         if (
             isinstance(node, ast.FunctionDef)
             and node.name in _FACTORY_MAKERS
         ):
-            for stmt in ast.walk(node):
+            for stmt in walk(node):
                 if (
                     isinstance(stmt, ast.FunctionDef)
                     and stmt is not node
@@ -135,7 +135,7 @@ def _draws_in(node_walk, rng_names: set[str]) -> list[ast.Call]:
 def _draw_sequence(fn: ast.FunctionDef, rng_names: set[str]) -> list[str]:
     """Draw method names in source order — the stream signature both
     factories must share."""
-    draws = _draws_in(ast.walk(fn), rng_names)
+    draws = _draws_in(walk(fn), rng_names)
     draws.sort(key=lambda c: (c.lineno, c.col_offset))
     return [c.func.attr for c in draws]  # type: ignore[union-attr]
 
@@ -143,7 +143,7 @@ def _draw_sequence(fn: ast.FunctionDef, rng_names: set[str]) -> list[str]:
 def _reads(test: ast.expr, names: set[str]) -> set[str]:
     return {
         sub.id
-        for sub in ast.walk(test)
+        for sub in walk(test)
         if isinstance(sub, ast.Name) and sub.id in names
     }
 

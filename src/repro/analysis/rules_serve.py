@@ -37,7 +37,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.analysis.engine import Finding, SourceModule, rule
+from repro.analysis.engine import Finding, SourceModule, rule, walk
 
 _LOCK_CTORS = {"Lock", "RLock"}
 
@@ -125,7 +125,7 @@ class _ClassLocks:
 
 def _class_locks(cls: ast.ClassDef) -> _ClassLocks:
     topo = _ClassLocks()
-    for node in ast.walk(cls):
+    for node in walk(cls):
         if not isinstance(node, ast.Assign) or len(node.targets) != 1:
             continue
         attr = _self_attr(node.targets[0])
@@ -352,7 +352,7 @@ def _methods(cls: ast.ClassDef) -> Iterator[ast.FunctionDef]:
 
 
 def _classes(tree: ast.AST) -> Iterator[ast.ClassDef]:
-    for node in ast.walk(tree):
+    for node in walk(tree):
         if isinstance(node, ast.ClassDef):
             yield node
 
@@ -555,7 +555,7 @@ def check_complete_funnel(module: SourceModule) -> Iterator[Finding]:
     imports_response = False
     defines_response = False
     imports_future = False
-    for node in ast.walk(module.tree):
+    for node in walk(module.tree):
         if isinstance(node, ast.ImportFrom):
             for alias in node.names:
                 if alias.name == "GemmResponse":
@@ -572,7 +572,7 @@ def check_complete_funnel(module: SourceModule) -> Iterator[Finding]:
 
     funneled: set[ast.Call] = set()
     if imports_response:
-        for node in ast.walk(module.tree):
+        for node in walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
             name = _call_name(node.func)
@@ -584,7 +584,7 @@ def check_complete_funnel(module: SourceModule) -> Iterator[Finding]:
                     and _call_name(arg.func) == "GemmResponse"
                 ):
                     funneled.add(arg)
-        for node in ast.walk(module.tree):
+        for node in walk(module.tree):
             if (
                 isinstance(node, ast.Call)
                 and _call_name(node.func) == "GemmResponse"
@@ -600,11 +600,11 @@ def check_complete_funnel(module: SourceModule) -> Iterator[Finding]:
 
     if imports_future:
         enclosing: dict[ast.AST, str] = {}
-        for fn in ast.walk(module.tree):
+        for fn in walk(module.tree):
             if isinstance(fn, ast.FunctionDef):
-                for child in ast.walk(fn):
+                for child in walk(fn):
                     enclosing.setdefault(child, fn.name)
-        for node in ast.walk(module.tree):
+        for node in walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func

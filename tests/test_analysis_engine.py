@@ -6,6 +6,7 @@ bug in suppression handling or baseline matching silently turns the gate
 off (or strands it red).
 """
 
+import ast
 import json
 
 import pytest
@@ -20,7 +21,7 @@ from repro.analysis import (
     render_text,
 )
 from repro.analysis.baseline import BASELINE_VERSION
-from repro.analysis.engine import SUPPRESSION_RULE
+from repro.analysis.engine import SUPPRESSION_RULE, walk
 from repro.analysis.report import JSON_SCHEMA_VERSION
 
 # a minimal file that trips hot-loop-alloc exactly once
@@ -63,6 +64,13 @@ def test_registry_has_every_documented_rule():
 def test_unknown_rule_selection_raises(tmp_path):
     with pytest.raises(ValueError, match="no-such-rule"):
         analyze_source(tmp_path, "x = 1\n", rules=["no-such-rule"])
+
+
+def test_walk_matches_ast_walk_on_every_call():
+    tree = ast.parse(BAD_HOT)
+    fn = tree.body[1]
+    for node in (tree, fn, tree, fn):
+        assert list(walk(node)) == list(ast.walk(node))
 
 
 # -------------------------------------------------------------- suppressions

@@ -16,6 +16,8 @@ The fault mix is deterministic per (seed, request_id), so a failing soak
 replays bit-identically.
 """
 
+import sys
+
 import numpy as np
 
 from repro.core.config import FTGemmConfig
@@ -136,7 +138,16 @@ def test_soak_with_backpressure_and_deadlines_answers_everything():
     service = GemmService(
         config, injector_factory=make_injector_factory(workload)
     ).start()
-    report = run_workload(service, workload, timeout_s=120.0)
+    # the burst also needs the submitter to win the GIL back between
+    # arrivals: under the default 5 ms switch interval the busy worker
+    # paces submission to its own service rate, and a fast host then
+    # drains the 8-slot queue before it ever fills
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        report = run_workload(service, workload, timeout_s=120.0)
+    finally:
+        sys.setswitchinterval(interval)
 
     assert report.lost == 0
     assert report.duplicates == 0
