@@ -6,7 +6,7 @@ blocked GEMM substrate, the fused ABFT scheme, the parallel Figure-1 design,
 a simulated Cascade Lake machine model, fault-injection campaigns, calibrated
 baseline libraries, and a benchmark harness regenerating every figure of the
 paper's evaluation. See DESIGN.md for the system inventory and EXPERIMENTS.md
-for paper-vs-measured results.
+for paper-vs-reproduced results (modeled figures labelled as such).
 
 Quick start::
 

@@ -28,6 +28,9 @@ HOT_NAMES = {
     "pack_b",
     "worker",
     "recovery_worker",
+    # the serial batched schedule's block walk: it runs the fused passes
+    # per block, so an allocation in its loop is paid per block too
+    "_run_batched",
     # panel-cache admission: consulted per batch on the serving hot path,
     # so the consult itself must never allocate in a loop (the encode
     # miss path is the one sanctioned allocation site, and it lives in

@@ -12,8 +12,9 @@ Scope (the taint/alias part is deliberately small):
 
 - the FT driver methods that touch C or panels (``_scale_c``,
   ``_pack_a_block``/``_pack_b_block``/``_pack_b_cached``,
-  ``_reuse_a_block``, ``_run_macro``) in any class that owns a checksum
-  ledger;
+  ``_reuse_a_block``, ``_run_macro``, and the batched schedule's
+  ``_contract``, whose one numpy contraction writes all of C) in any
+  class that owns a checksum ledger;
 - the BLAS/FFT entry points ``ft_gemv``, ``ft_trsm``, ``ft_fft``, where
   the *output buffer* is identified by alias: whatever name feeds
   ``BlasResult(value=...)`` / ``result.value = ...`` is the protected
@@ -69,6 +70,7 @@ _DRIVER_WRITERS = {
     "_pack_b_cached",
     "_reuse_a_block",
     "_run_macro",
+    "_contract",
 }
 
 #: protected BLAS/FFT entry points checked by output-buffer alias
@@ -91,6 +93,7 @@ _FUSED_PASSES = {
     "update_b_cached",
     "update_a",
     "update_a_reused",
+    "collect_refs",
 }
 
 #: receiver names under which the drivers hold their FusedPasses stage

@@ -9,6 +9,11 @@ scheme); this driver hooks them into the Figure-1 loop nest and keeps
 what is serial-only: Ã reuse across j-blocks, panel-cache admission, the
 memory-sink address stream and the eager debug probes.
 
+On the batched schedule the pack-B and pack-A passes run over unpacked
+block views of B and A (nothing is packed), C comes from one numpy
+contraction, and the last-K-block reference sums become whole-C
+reductions (:meth:`FusedPasses.collect_refs`).
+
 The driver therefore makes **no separate pass** over A, B, or C for fault
 tolerance — the property the paper's overhead numbers hinge on. Counters
 record the fused checksum flops (``checksum_flops``) and keep
@@ -26,7 +31,7 @@ from repro.core.fused import FusedPasses, injection_allows_batched, no_visit, ve
 from repro.core.results import FTGemmResult, VerificationReport
 from repro.core.verification import envelope_tolerances
 from repro.gemm.driver import BlockedGemm, MemorySink
-from repro.gemm.macrokernel import TileHook, macro_kernel, macro_kernel_batched
+from repro.gemm.macrokernel import TileHook, macro_kernel
 from repro.gemm.packing import PackedPanels
 from repro.obs.tracer import NULL_SPAN, Tracer
 from repro.simcpu.counters import Counters
@@ -195,6 +200,10 @@ class FTGemm(BlockedGemm):
         return hook
 
     def _resolve_mode(self, on_tile: TileHook | None) -> str:
+        if self.ft_config.verify_mode == "eager":
+            # the eager probes read the partial C after every K-block,
+            # which only the blocked tile schedule produces
+            return "tile"
         if (
             on_tile is None
             and self.sink is None
@@ -209,6 +218,11 @@ class FTGemm(BlockedGemm):
         clean-path optimizations stay off while an injector is attached so
         injected campaigns hit the exact schedule the planner counted."""
         return super()._fast_path() and self._injector is None
+
+    def _c_pristine(self) -> bool:
+        """An injector may strike the fresh C in the scaling pass; the
+        contraction must then accumulate onto it, never overwrite it."""
+        return super()._c_pristine() and self._injector is None
 
     def _release_call_state(self) -> None:
         self._fused: FusedPasses | None = None
@@ -290,6 +304,35 @@ class FTGemm(BlockedGemm):
             with self._fused.span("reuse_a", i0=i0, p0=p0):
                 self._fused.update_a_reused(packed.rows()[:ilen], i0)
 
+    def _b_block_pass(self, b, p_idx, j_idx, p0, plen, j0, jlen) -> None:
+        """The pack-B fused pass of the batched schedule, over the unpacked
+        block (or replayed from the panel cache). Batched runs carry no
+        kernel-site plan, so no pack site is visited."""
+        super()._b_block_pass(b, p_idx, j_idx, p0, plen, j0, jlen)
+        if not self.ft:
+            return
+        if self._b_grid is not None:
+            with self._fused.span("pack_b_cached", p0=p0, j0=j0):
+                self._fused.update_b_cached(self._b_grid.block(p_idx, j_idx), p0, j0)
+        else:
+            with self._fused.span("pack_b", p0=p0, j0=j0):
+                self._fused.update_b(b[p0 : p0 + plen, j0 : j0 + jlen], p0, j0)
+
+    def _a_block_pass(self, a, i0, ilen, p0, plen, *, first_j) -> None:
+        """The pack-A fused pass of the batched schedule, over the
+        unpacked block of A."""
+        super()._a_block_pass(a, i0, ilen, p0, plen, first_j=first_j)
+        if self.ft:
+            with self._fused.span("pack_a", i0=i0, p0=p0):
+                self._fused.update_a(a[i0 : i0 + ilen, p0 : p0 + plen], i0)
+
+    def _contract(self, a, b, c, alpha) -> None:
+        """One contraction writes all of C; the reference sums then read
+        it whole, as the last K-block's kernels would have."""
+        super()._contract(a, b, c, alpha)
+        if self.ft:
+            self._fused.collect_refs(c)
+
     def _run_macro(self, packed_a, packed_b, c_block, *, i0, j0, last_p, on_tile) -> None:
         if not (self.ft and last_p):
             # non-final K-blocks run the plain macro by design: their
@@ -308,10 +351,7 @@ class FTGemm(BlockedGemm):
             trace_args=({"i0": i0, "j0": j0, "refs": True}
                         if tr is not None else None),
         )
-        if self._mode == "batched":
-            macro_kernel_batched(packed_a, packed_b, c_block, **kwargs)
-        else:
-            macro_kernel(packed_a, packed_b, c_block, on_tile=on_tile, **kwargs)
+        macro_kernel(packed_a, packed_b, c_block, on_tile=on_tile, **kwargs)
         self._emit_macro_traffic(packed_a, packed_b, c_block, i0, j0)
 
     def _after_p(self, p_idx: int, last_p: bool, c: np.ndarray) -> None:

@@ -16,7 +16,9 @@ pack ``A → Ã``        ``C^c += αA_blk·B^c`` with its envelope
                       (``update_a``; ``update_a_reused`` reads a resident
                       Ã instead of a fresh A block)
 last macro kernel     reference sums ``eᵀC_blk`` / ``C_blk·e`` collected
-                      by the kernel from the arguments of ``refs``
+                      by the kernel from the arguments of ``refs`` (the
+                      batched schedule, with no kernel sweep, reduces the
+                      finished C instead: ``collect_refs``)
 epilogue              :func:`verify`: verify, locate, correct, escalate
 ====================  ====================================================
 
@@ -243,6 +245,19 @@ class FusedPasses:
                 col_weights=self.w_n[j0 : j0 + jlen],
             )
         return refs
+
+    def collect_refs(self, c: np.ndarray) -> None:
+        """The reference sums as whole-C reductions, for the batched
+        schedule where one contraction produced C and no kernel sweep
+        visits its tiles: ``eᵀC`` / ``C·e`` (and the weighted pair)."""
+        ledger = self.ledger
+        ledger.row_ref += c.sum(axis=0)
+        ledger.col_ref += c.sum(axis=1)
+        self.counters.checksum_flops += 2 * c.size
+        if ledger.weighted:
+            ledger.row_ref_w += self.w_m @ c
+            ledger.col_ref_w += c @ self.w_n
+            self.counters.checksum_flops += 4 * c.size
 
 
 def verify(

@@ -538,8 +538,11 @@ class ParallelFTGemm:
                     assign[s_idx].append((ms + off, ln))
         rec_counters = [Counters() for _ in survivors]
 
+        # the re-execution repacks through fresh buffers: the tile schedule
+        rec_cfg = cfg.with_(dispatch="tile")
+
         def recovery_worker(slot: int):
-            driver = BlockedGemm(cfg, counters=rec_counters[slot])
+            driver = BlockedGemm(rec_cfg, counters=rec_counters[slot])
             for r0, rlen in assign[slot]:
                 c_slice = c[r0 : r0 + rlen]
                 if beta != 0.0:

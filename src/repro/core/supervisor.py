@@ -442,18 +442,20 @@ class EscalationSupervisor:
     ) -> bool:
         """Recompute suspect lines through the packed driver with *fresh*
         buffers (gathered copies of A/B — the quarantined storage is never
-        read again), then rebuild the ledger from first principles."""
+        read again), then rebuild the ledger from first principles. The
+        driver runs the tile schedule: that is the one that repacks."""
         from repro.gemm.driver import BlockedGemm
 
         if self.beta != 0.0 and self.c0 is None:
             return False
+        blocking = self.config.blocking.with_(dispatch="tile")
         n = self.b.shape[1]
         m = self.a.shape[0]
         if rows:
             idx = np.asarray(rows, dtype=np.intp)
             a_sub = np.ascontiguousarray(self.a[idx, :])
             c_sub = np.zeros((len(rows), n))
-            driver = BlockedGemm(self.config.blocking)
+            driver = BlockedGemm(blocking)
             driver.gemm(a_sub, self.b, c_sub, alpha=self.alpha)
             _merge_counters(self.counters, driver.counters)
             if self.beta != 0.0:
@@ -463,7 +465,7 @@ class EscalationSupervisor:
             jdx = np.asarray(cols, dtype=np.intp)
             b_sub = np.ascontiguousarray(self.b[:, jdx])
             c_sub = np.zeros((m, len(cols)))
-            driver = BlockedGemm(self.config.blocking)
+            driver = BlockedGemm(blocking)
             driver.gemm(self.a, b_sub, c_sub, alpha=self.alpha)
             _merge_counters(self.counters, driver.counters)
             if self.beta != 0.0:

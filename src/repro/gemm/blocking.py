@@ -15,11 +15,12 @@ from typing import Iterator
 from repro.util.errors import ConfigError
 
 
-#: Legal macro-kernel dispatch modes: ``"auto"`` picks the fastest legal
-#: mode per call (the batched block-level contraction on the clean path,
-#: tile whenever a per-tile consumer — an ``on_tile`` hook, a memory sink,
-#: or a kernel-site fault injector — is attached); ``"tile"`` forces the
-#: per-tile sweep. Drivers report the mode that ran (``"batched"`` or
+#: Legal dispatch modes: ``"auto"`` picks the fastest legal schedule per
+#: call (batched on the clean path — one contraction for the serial
+#: driver, block-level contractions for the parallel one — and tile
+#: whenever a per-tile consumer — an ``on_tile`` hook, a memory sink, a
+#: kernel-site fault injector, eager probes — is attached); ``"tile"``
+#: forces the packed per-tile sweep. Drivers report the mode that ran (``"batched"`` or
 #: ``"tile"``) as ``last_mode``.
 DISPATCH_MODES = ("auto", "tile")
 

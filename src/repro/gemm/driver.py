@@ -1,11 +1,22 @@
 """The blocked GEMM driver (paper Section 2.1, Figure 1 loop structure).
 
-:class:`BlockedGemm` runs the full packed loop nest in the paper's order —
-``p`` over K (step ``K_C``), ``j`` over N (step ``N_C``), ``i`` over M (step
-``M_C``) — packing ``B̃`` per ``(p, j)`` and ``Ã`` per ``(p, j, i)``, then
-sweeping the macro kernel. It is the non-fault-tolerant baseline ("FT-GEMM:
-Ori"); :class:`repro.core.ftgemm.FTGemm` extends it with the fused ABFT
-operations through the protected extension points.
+:class:`BlockedGemm` walks the paper's loop nest — ``p`` over K (step
+``K_C``), ``j`` over N (step ``N_C``), ``i`` over M (step ``M_C``). It is
+the non-fault-tolerant baseline ("FT-GEMM: Ori");
+:class:`repro.core.ftgemm.FTGemm` extends it with the fused ABFT operations
+through the protected extension points. Two schedules share the walk:
+
+- ``tile`` packs ``B̃`` per ``(p, j)`` and ``Ã`` per ``(p, j, i)`` into the
+  :class:`~repro.gemm.workspace.Workspace` arena and sweeps the per-tile
+  macro kernel — the faithful model of the paper's kernel, and the only
+  schedule with per-pass injection sites and memory-sink traffic;
+- ``batched`` (the clean fast path) runs only the per-block pass hooks
+  over unpacked views of A and B, then produces C with one numpy
+  contraction over the whole operands.
+
+Both book the same :class:`~repro.simcpu.counters.Counters` totals: the
+counters are the modeled paper kernel's accounting (pack bytes, macro
+traffic, micro-kernel calls), not a record of the numpy work that ran.
 
 Instrumentation: when constructed with a memory ``sink`` (a
 :class:`~repro.simcpu.cache.CacheHierarchy`, :class:`~repro.simcpu.tlb.TLBSim`
@@ -22,7 +33,8 @@ from typing import Protocol
 import numpy as np
 
 from repro.gemm.blocking import BlockingConfig, iter_blocks
-from repro.gemm.macrokernel import TileHook, macro_kernel, macro_kernel_batched
+from repro.gemm.macrokernel import TileHook, macro_kernel
+from repro.gemm.microkernel import tile_flops
 from repro.gemm.packing import PackedPanels, pack_a, pack_b
 from repro.gemm.workspace import Workspace
 from repro.obs.tracer import NULL_SPAN, NULL_TRACER
@@ -153,10 +165,12 @@ class BlockedGemm:
         cfg = self.config
         if self.sink is not None:
             self._lay_out(m, n, k)
-        self.workspace = Workspace.obtain(self.workspace, cfg, m, n, k)
         self._reuse_a = self._fast_path()
         self._mode = self._resolve_mode(on_tile)
         self.last_mode = self._mode
+        if self._mode == "tile":
+            # only the tile schedule packs; batched reads A and B in place
+            self.workspace = Workspace.obtain(self.workspace, cfg, m, n, k)
         self._b_grid = self._admit_packed_b(packed_b, b, k, n)
         tr = self._tr = self.tracer if self.tracer.enabled else None
 
@@ -197,6 +211,10 @@ class BlockedGemm:
         with (tr.span("scale_c", cat="scale", args={"beta": beta})
               if tr is not None else NULL_SPAN):
             self._scale_c(c, beta)
+        if self._mode == "batched":
+            self._run_batched(a, b, c, alpha, m, n, k)
+            self._finish(c)
+            return
 
         n_pblocks = len(list(iter_blocks(k, cfg.kc)))
         for p_idx, (p0, plen) in enumerate(iter_blocks(k, cfg.kc)):
@@ -227,6 +245,50 @@ class BlockedGemm:
             self._after_p(p_idx, last_p, c)
         self._a_cache.clear()
         self._finish(c)
+
+    def _run_batched(
+        self,
+        a: np.ndarray,
+        b: np.ndarray,
+        c: np.ndarray,
+        alpha: float,
+        m: int,
+        n: int,
+        k: int,
+    ) -> None:
+        """The batched schedule: the Figure-1 block walk runs only the
+        per-block pass hooks and books the modeled kernel's counters; C
+        itself comes from one numpy contraction over the whole operands."""
+        cfg = self.config
+        for p_idx, (p0, plen) in enumerate(iter_blocks(k, cfg.kc)):
+            for j_idx, (j0, jlen) in enumerate(iter_blocks(n, cfg.nc)):
+                self._b_block_pass(b, p_idx, j_idx, p0, plen, j0, jlen)
+                for i0, ilen in iter_blocks(m, cfg.mc):
+                    self._a_block_pass(a, i0, ilen, p0, plen, first_j=j_idx == 0)
+                    self._book_macro(ilen, jlen, plen)
+        tr = self._tr
+        # fail-continue, as in the macro kernels: non-finite operands flow
+        # through silently and detection is the checksum layer's job
+        with (tr.span("matmul", cat="compute", args={"m": m, "n": n, "k": k})
+              if tr is not None else NULL_SPAN), \
+                np.errstate(invalid="ignore", over="ignore"):
+            self._contract(a, b, c, alpha)
+
+    def _contract(
+        self, a: np.ndarray, b: np.ndarray, c: np.ndarray, alpha: float
+    ) -> None:
+        """``C += alpha * A @ B`` as one numpy contraction (written straight
+        into a pristine C). FTGemm collects the reference sums here, inside
+        the compute span, as the tile schedule's kernels do."""
+        if self._c_pristine():
+            np.matmul(a, b, out=c)
+            if alpha != 1.0:
+                c *= alpha
+        else:
+            product = a @ b
+            if alpha != 1.0:
+                product *= alpha
+            c += product
 
     # -------------------------------------------------------- dispatch layer
     def _fast_path(self) -> bool:
@@ -275,6 +337,12 @@ class BlockedGemm:
                 f"nr={self.config.nr}"
             )
         return packed_b
+
+    def _c_pristine(self) -> bool:
+        """Whether C still holds the zeros ``gemm(c=None)`` allocated, so
+        the batched contraction may write it instead of accumulating.
+        FTGemm adds that no injector's scaling pass has touched it."""
+        return self._c_fresh
 
     def _pack_b_cached(
         self, grid, p_idx: int, j_idx: int,
@@ -355,9 +423,7 @@ class BlockedGemm:
             block = b[p0 : p0 + plen, j0 : j0 + jlen]
             out = self.workspace.b_view(self.config.micro_panels_n(jlen), plen)
             packed = pack_b(block, self.config.nr, out=out)
-            self.counters.loads_bytes += block.nbytes
-            self.counters.pack_b_bytes += packed.nbytes
-            self.counters.stores_bytes += packed.nbytes
+            self._book_pack_b(plen, jlen)
             self._emit("B", p0, j0, plen, jlen, write=False)
             self._emit_packed("Btilde", packed, write=True)
         return packed
@@ -398,12 +464,53 @@ class BlockedGemm:
                 # fold alpha into Ã in place (padding rows are zero, so
                 # scaling the whole buffer is safe) — no per-block temporary
                 out *= alpha
-            self.counters.loads_bytes += block.nbytes
-            self.counters.pack_a_bytes += packed.nbytes
-            self.counters.stores_bytes += packed.nbytes
+            self._book_pack_a(ilen, plen)
             self._emit("A", i0, p0, ilen, plen, write=False)
             self._emit_packed("Atilde", packed, write=True)
         return packed
+
+    def _book_pack_b(self, plen: int, jlen: int) -> None:
+        """One B̃ packing pass: read the block, write its padded panels."""
+        packed = self.config.micro_panels_n(jlen) * self.config.nr * plen * DOUBLE
+        self.counters.loads_bytes += plen * jlen * DOUBLE
+        self.counters.pack_b_bytes += packed
+        self.counters.stores_bytes += packed
+
+    def _book_pack_a(self, ilen: int, plen: int) -> None:
+        """One Ã packing pass: read the block, write its padded panels."""
+        packed = self.config.micro_panels_m(ilen) * self.config.mr * plen * DOUBLE
+        self.counters.loads_bytes += ilen * plen * DOUBLE
+        self.counters.pack_a_bytes += packed
+        self.counters.stores_bytes += packed
+
+    def _b_block_pass(
+        self, b: np.ndarray, p_idx: int, j_idx: int,
+        p0: int, plen: int, j0: int, jlen: int,
+    ) -> None:
+        """Batched schedule, per ``(p, j)``: book the modeled pack-B pass
+        (none on a panel-cache hit). FTGemm runs its B-side fused checksum
+        pass here, on the unpacked view of the block."""
+        if self._b_grid is None:
+            self._book_pack_b(plen, jlen)
+
+    def _a_block_pass(
+        self, a: np.ndarray, i0: int, ilen: int, p0: int, plen: int,
+        *, first_j: bool,
+    ) -> None:
+        """Batched schedule, per ``(p, j, i)``: book the modeled pack-A pass
+        — once per ``(p, i)`` when Ã reuse is legal, as the tile schedule
+        packs it. FTGemm runs its A-side fused checksum pass here."""
+        if first_j or not self._reuse_a:
+            self._book_pack_a(ilen, plen)
+
+    def _book_macro(self, ilen: int, jlen: int, plen: int) -> None:
+        """Batched schedule: book the modeled macro kernel of one block —
+        its micro-kernel calls and FMAs and its Ã/B̃/C traffic."""
+        cfg = self.config
+        tiles = cfg.micro_panels_m(ilen) * cfg.micro_panels_n(jlen)
+        self.counters.microkernel_calls += tiles
+        self.counters.fma_flops += tiles * tile_flops(cfg.mr, cfg.nr, plen)
+        self._book_macro_traffic(ilen, jlen, plen)
 
     def _reuse_a_block(
         self,
@@ -433,26 +540,15 @@ class BlockedGemm:
     ) -> None:
         """One macro-kernel invocation; FTGemm adds checksum-ref collection."""
         tr = self._tr
-        targs = {"i0": i0, "j0": j0} if tr is not None else None
-        if self._mode == "batched":
-            macro_kernel_batched(
-                packed_a,
-                packed_b,
-                c_block,
-                counters=self.counters,
-                tracer=tr,
-                trace_args=targs,
-            )
-        else:
-            macro_kernel(
-                packed_a,
-                packed_b,
-                c_block,
-                on_tile=on_tile,
-                counters=self.counters,
-                tracer=tr,
-                trace_args=targs,
-            )
+        macro_kernel(
+            packed_a,
+            packed_b,
+            c_block,
+            on_tile=on_tile,
+            counters=self.counters,
+            tracer=tr,
+            trace_args={"i0": i0, "j0": j0} if tr is not None else None,
+        )
         self._emit_macro_traffic(packed_a, packed_b, c_block, i0, j0)
 
     def _after_p(self, p_idx: int, last_p: bool, c: np.ndarray) -> None:
@@ -461,6 +557,17 @@ class BlockedGemm:
 
     def _finish(self, c: np.ndarray) -> None:
         """Post-loop work; FTGemm verifies and corrects here."""
+
+    def _book_macro_traffic(self, ilen: int, jlen: int, plen: int) -> None:
+        """Bytes of one macro kernel: every (Ã panel, B̃ panel) tile reads
+        both panels, and the C block is read and written once."""
+        cfg = self.config
+        tiles = cfg.micro_panels_m(ilen) * cfg.micro_panels_n(jlen)
+        c_bytes = ilen * jlen * DOUBLE
+        self.counters.loads_bytes += (
+            tiles * (cfg.mr + cfg.nr) * plen * DOUBLE + c_bytes
+        )
+        self.counters.stores_bytes += c_bytes
 
     # --------------------------------------------------------- address layer
     def _lay_out(self, m: int, n: int, k: int) -> None:
@@ -505,12 +612,7 @@ class BlockedGemm:
     ) -> None:
         """The macro kernel re-reads Ã per B-panel sweep, streams B̃ once per
         A-panel, and read-modify-writes the C block row-wise."""
-        self.counters.loads_bytes += (
-            packed_b.n_panels * packed_a.nbytes
-            + packed_a.n_panels * packed_b.nbytes
-            + c_block.nbytes
-        )
-        self.counters.stores_bytes += c_block.nbytes
+        self._book_macro_traffic(packed_a.valid, packed_b.valid, packed_a.depth)
         if self.sink is None or self.layout is None:
             return
         # each of the n_panels B sweeps streams the whole Ã block once

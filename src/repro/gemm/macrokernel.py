@@ -25,7 +25,9 @@ Two implementations of the same contraction live here:
   counter totals — microkernel calls are counted per logical tile even
   though no Python-level tile loop runs — but offers no per-tile hook; the
   dispatch layer falls back to :func:`macro_kernel` whenever per-tile
-  granularity is required.
+  granularity is required. Only the parallel scheme calls it (its team
+  packs a shared B̃); the serial batched schedule contracts whole
+  operands in :meth:`~repro.gemm.driver.BlockedGemm._contract` instead.
 """
 
 from __future__ import annotations

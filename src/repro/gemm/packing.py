@@ -166,7 +166,7 @@ def panels_from_cols(cols: np.ndarray, nr: int, valid: int) -> PackedPanels:
     of the same bytes — panel ``j`` is columns ``j*nr : j*nr+nr`` — so an
     ``as_strided`` reinterpretation recovers the panel axes for free. The
     flat matrix is additionally pre-seeded as the ``cols()`` projection, so
-    the batched macro kernel's one-BLAS-call path also skips its
+    the fused pack-B pass replayed from a cached block reads it without a
     materialisation copy.
     """
     if cols.ndim != 2:

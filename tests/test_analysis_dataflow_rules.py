@@ -279,6 +279,29 @@ class FtDriver:
     assert [f.message.split("(")[0] for f in found] == ["_pack_b_block"]
 
 
+def test_ledger_batched_contraction_needs_ref_sums(tmp_path):
+    """The batched schedule writes all of C in one contraction; the
+    override must follow it with the whole-C reference sums."""
+    template = """\
+class FtDriver:
+    def __init__(self, ledger):
+        self._fused = Stage(ledger)
+
+    def verify(self, c):
+        return check(c, self._fused.ledger)
+
+    def _contract(self, a, b, c, alpha):
+        super()._contract(a, b, c, alpha)
+        if self.ft:
+            AFTER
+"""
+    good = template.replace("AFTER", "self._fused.collect_refs(c)")
+    assert findings_for(tmp_path, good, "ledger-coverage") == []
+    bad = template.replace("AFTER", "self.refs_done = True")
+    found = findings_for(tmp_path, bad, "ledger-coverage")
+    assert [f.message.split("(")[0] for f in found] == ["_contract"]
+
+
 def test_ledger_fused_pass_must_touch_the_ledger(tmp_path):
     """Drivers trust a call to a fused pass, so the pass itself is
     checked: it must store into the ledger, directly or via a helper."""

@@ -577,3 +577,20 @@ def run(x, tracer=None):
     return x
 """
     assert findings_for(tmp_path, good, "tracer-guard") == []
+
+
+def test_hot_loop_alloc_covers_batched_block_walk(tmp_path):
+    """The serial batched schedule walks every (p, j, i) block to run the
+    fused passes: an allocating call in that walk is a finding."""
+    bad = """\
+import numpy as np
+
+def _run_batched(self, a, b, c, alpha, m, n, k):
+    for p0, plen in blocks:
+        stripe = np.ascontiguousarray(b[p0 : p0 + plen])
+        self._b_block_pass(stripe, p0)
+    np.matmul(a, b, out=c)
+"""
+    found = findings_for(tmp_path, bad, "hot-loop-alloc")
+    assert len(found) == 1
+    assert "_run_batched" in found[0].message

@@ -50,13 +50,20 @@ def test_alpha_beta(pg, rng, alpha, beta):
 
 
 def test_bitwise_identical_to_serial_single_thread(small_config, rng):
-    """One-thread parallel must agree with the serial driver bit for bit —
-    same loop nest, same packing, same kernels."""
+    """One-thread parallel must agree with the serial tile schedule bit for
+    bit — same loop nest, same packing, same kernels. (The serial batched
+    schedule computes C in one contraction, a different summation order.)"""
     a = rng.standard_normal((25, 19))
     b = rng.standard_normal((19, 27))
-    serial = FTGemm(small_config).gemm(a, b).c
+    serial_tile = small_config.with_(
+        blocking=small_config.blocking.with_(dispatch="tile")
+    )
+    serial = FTGemm(serial_tile).gemm(a, b).c
     parallel = ParallelFTGemm(small_config, n_threads=1).gemm(a, b).c
     np.testing.assert_array_equal(serial, parallel)
+    np.testing.assert_allclose(
+        FTGemm(small_config).gemm(a, b).c, parallel, rtol=1e-12, atol=1e-12
+    )
 
 
 def test_thread_count_does_not_change_result_values(small_config, rng):

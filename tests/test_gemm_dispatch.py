@@ -4,10 +4,13 @@ The contract under test: tile and batched modes are observationally
 identical — same C (allclose), same checksum references, same counter
 totals — and the dispatch layer silently degrades to tile mode whenever
 per-tile granularity is needed (an ``on_tile`` hook, a memory sink, a fault
-injector). The arena tests pin the zero-allocation property: once the
-workspace exists, the loop nest packs into it without a single fresh
-``np.zeros``.
+injector, eager probes). The serial batched schedule packs nothing and
+produces C with one contraction. The arena tests pin the zero-allocation
+property of the tile schedule: once the workspace exists, the loop nest
+packs into it without a single fresh ``np.zeros``.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -323,19 +326,22 @@ def test_ft_gemm_batched_dispatch_override(rng):
 
 @pytest.mark.parametrize("mode", ["tile", "auto"])
 def test_loop_nest_never_allocates_packing_buffers(rng, monkeypatch, mode):
-    """The loop nest always hands pack_a/pack_b an ``out=`` arena view, and
-    once the workspace exists not a single fresh panel buffer (3-D
-    ``np.zeros``) is allocated during a call."""
+    """The tile loop nest always hands pack_a/pack_b an ``out=`` arena
+    view, and once the workspace exists not a single fresh panel buffer
+    (3-D ``np.zeros``) is allocated during a call. The batched schedule
+    (``auto`` on a clean call) does not pack at all."""
     import repro.gemm.driver as driver_mod
 
     driver = BlockedGemm(BlockingConfig.small(dispatch=mode))
     a = rng.standard_normal((37, 23))
     b = rng.standard_normal((23, 29))
-    driver.gemm(a, b)  # builds the workspace
+    driver.gemm(a, b)  # builds the workspace (tile only)
+    pack_calls = []
 
     def checking(real):
         def wrapper(block, r, *, out=None):
             assert out is not None, f"{real.__name__} called without arena view"
+            pack_calls.append(real.__name__)
             return real(block, r, out=out)
 
         return wrapper
@@ -354,11 +360,12 @@ def test_loop_nest_never_allocates_packing_buffers(rng, monkeypatch, mode):
     monkeypatch.setattr(packing.np, "zeros", counting_zeros)
     out = driver.gemm(a, b)
     assert panel_allocs == []
+    assert bool(pack_calls) == (mode == "tile")
     np.testing.assert_allclose(out, a @ b, rtol=1e-11, atol=1e-11)
 
 
 def test_workspace_buffers_reused_across_calls(rng):
-    driver = BlockedGemm(BlockingConfig.small())
+    driver = BlockedGemm(BlockingConfig.small(dispatch="tile"))
     a = rng.standard_normal((20, 16))
     b = rng.standard_normal((16, 24))
     driver.gemm(a, b)
@@ -372,7 +379,7 @@ def test_workspace_buffers_reused_across_calls(rng):
 
 
 def test_workspace_grows_for_bigger_problem(rng):
-    driver = BlockedGemm(BlockingConfig.small())
+    driver = BlockedGemm(BlockingConfig.small(dispatch="tile"))
     driver.gemm(rng.standard_normal((8, 8)), rng.standard_normal((8, 8)))
     small_ws = driver.workspace
     driver.gemm(rng.standard_normal((40, 24)), rng.standard_normal((24, 40)))
@@ -392,7 +399,7 @@ def test_packed_blocks_live_inside_the_arena(rng):
             captured.append(packed.data)
             return packed
 
-    driver = Spy(BlockingConfig.small())
+    driver = Spy(BlockingConfig.small(dispatch="tile"))
     driver.gemm(rng.standard_normal((20, 20)), rng.standard_normal((20, 20)))
     assert captured
     for data in captured:
@@ -415,10 +422,10 @@ def _pack_a_counting_driver(base_cls, *args, **kwargs):
 
 @pytest.mark.parametrize("cls", [BlockedGemm, None])
 def test_packed_a_reused_across_j_blocks(rng, cls):
-    """nc=12 with n=40 gives 4 j-blocks; Ã must be packed once per (p, i),
-    not once per (p, j, i)."""
+    """nc=12 with n=40 gives 4 j-blocks; on the tile schedule Ã must be
+    packed once per (p, i), not once per (p, j, i)."""
     m, n, k = 20, 40, 17  # 3 i-blocks, 4 j-blocks, 3 p-blocks
-    blocking = BlockingConfig.small()
+    blocking = BlockingConfig.small(dispatch="tile")
     if cls is None:
         driver = _pack_a_counting_driver(
             FTGemm, FTGemmConfig(blocking=blocking, checksum_scheme="weighted")
@@ -482,3 +489,129 @@ def test_fresh_c_skip_preserves_ft_verification(rng):
         result = FTGemm(config).gemm(a, b)
         assert result.verified
         np.testing.assert_allclose(result.c, a @ b, rtol=1e-11, atol=1e-11)
+
+
+# ------------------------------------------------ serial batched schedule
+
+BATCHED_SHAPES = [
+    (37, 29, 23),   # ragged m/n/k, several blocks along every axis
+    (20, 40, 17),   # n > nc: four j-blocks
+]
+
+
+def _all_counters(counters: Counters) -> dict:
+    fields = dataclasses.asdict(counters)
+    fields.pop("cache")
+    return fields
+
+
+@pytest.mark.parametrize("cached", [False, True])
+@pytest.mark.parametrize("ft", [True, False])
+def test_batched_call_never_packs(rng, monkeypatch, ft, cached):
+    """A batched call calls neither pack_a nor pack_b, builds no
+    Workspace, and runs exactly one compute span: the contraction."""
+    import repro.gemm.driver as driver_mod
+    from repro.gemm.panelcache import encode_b
+    from repro.gemm.workspace import Workspace
+    from repro.obs import Tracer
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the batched schedule must not pack")
+
+    monkeypatch.setattr(driver_mod, "pack_a", forbidden)
+    monkeypatch.setattr(driver_mod, "pack_b", forbidden)
+    monkeypatch.setattr(Workspace, "obtain", forbidden)
+    a = rng.standard_normal((37, 23))
+    b = rng.standard_normal((23, 29))
+    tracer = Tracer()
+    config = FTGemmConfig(blocking=BlockingConfig.small())
+    if not ft:
+        config = FTGemmConfig.unprotected().with_(blocking=config.blocking)
+    driver = FTGemm(config, tracer=tracer)
+    packed_b = encode_b(b, config.blocking) if cached else None
+    result = driver.gemm(a, b, alpha=1.25, packed_b=packed_b)
+    assert driver.last_mode == "batched"
+    assert driver.workspace is None
+    assert result.verified
+    np.testing.assert_allclose(result.c, 1.25 * (a @ b), rtol=1e-11, atol=1e-11)
+    compute = tracer.spans(cat="compute")
+    assert [e.name for e in compute] == ["matmul"]
+    assert not tracer.spans(cat="pack")
+
+
+@pytest.mark.parametrize("m,n,k", BATCHED_SHAPES)
+@pytest.mark.parametrize("scheme", ["dual", "weighted"])
+@pytest.mark.parametrize("alpha", [1.0, 1.25])
+@pytest.mark.parametrize("beta", [0.0, 0.5])
+@pytest.mark.parametrize("cached", [False, True])
+def test_batched_schedule_matches_tile(rng, m, n, k, scheme, alpha, beta, cached):
+    """Same C (allclose), verified, and every Counters field equal to the
+    tile schedule and — uncached — to the analytic model."""
+    from repro.gemm.panelcache import encode_b
+    from repro.perfmodel.validate import expected_counters
+
+    a = rng.standard_normal((m, k))
+    b = rng.standard_normal((k, n))
+    c0 = rng.standard_normal((m, n))
+    runs = {}
+    for dispatch in ("tile", "auto"):
+        config = FTGemmConfig(
+            blocking=BlockingConfig.small(dispatch=dispatch),
+            checksum_scheme=scheme,
+        )
+        driver = FTGemm(config)
+        packed_b = encode_b(b, config.blocking) if cached else None
+        c = None if beta == 0.0 else c0.copy()
+        result = driver.gemm(a, b, c, alpha=alpha, beta=beta, packed_b=packed_b)
+        assert result.verified
+        assert result.detected == 0
+        runs[driver.last_mode] = (result.c, _all_counters(result.counters))
+    np.testing.assert_allclose(
+        runs["batched"][0], runs["tile"][0], rtol=1e-11, atol=1e-11
+    )
+    np.testing.assert_allclose(
+        runs["batched"][0], gemm_reference(a, b, c0, alpha=alpha, beta=beta),
+        rtol=1e-11, atol=1e-11,
+    )
+    assert runs["batched"][1] == runs["tile"][1]
+    if not cached:
+        model = expected_counters(m, n, k, config, beta_nonzero=beta != 0.0)
+        assert runs["batched"][1] == _all_counters(model)
+
+
+def test_eager_verification_resolves_to_tile(rng):
+    """The eager probes read the partial C after every K-block, so eager
+    mode runs the tile schedule even under dispatch="auto"."""
+    a = rng.standard_normal((20, 23))
+    b = rng.standard_normal((23, 18))
+    config = FTGemmConfig(blocking=BlockingConfig.small(), verify_mode="eager")
+    driver = FTGemm(config)
+    result = driver.gemm(a, b)
+    assert driver.last_mode == "tile"
+    assert result.verified
+    n_pblocks = len(range(0, 23, config.blocking.kc))
+    # one probe per non-final K-block plus the final verification
+    assert result.counters.verifications >= n_pblocks
+    np.testing.assert_allclose(result.c, a @ b, rtol=1e-11, atol=1e-11)
+
+
+def test_scale_strike_on_fresh_c_survives_the_contraction(rng):
+    """A scale-site strike lands in the freshly allocated C before the
+    batched contraction; the contraction must accumulate onto it (never
+    overwrite it), so the checksums still see and repair the error."""
+    from repro.faults.injector import InjectionPlan
+    from repro.faults.models import Additive
+
+    a = rng.standard_normal((24, 24))
+    b = rng.standard_normal((24, 24))
+    config = FTGemmConfig(blocking=BlockingConfig.small(), dmr_protect_scale=False)
+    injector = FaultInjector(
+        InjectionPlan.single("scale", 0, model=Additive(magnitude=9.0))
+    )
+    driver = FTGemm(config)
+    result = driver.gemm(a, b, injector=injector)
+    assert driver.last_mode == "batched"
+    assert injector.n_injected == 1
+    assert result.detected >= 1
+    assert result.verified
+    np.testing.assert_allclose(result.c, a @ b, rtol=1e-9, atol=1e-9)

@@ -31,7 +31,8 @@ def _config(**kwargs):
 def test_serial_traced_run_span_tree():
     a, b = _operands(48)
     tracer = Tracer()
-    result = FTGemm(_config(), tracer=tracer).gemm(a, b)
+    config = FTGemmConfig(blocking=BlockingConfig.small(mr=4, nr=4, dispatch="tile"))
+    result = FTGemm(config, tracer=tracer).gemm(a, b)
     assert result.verified
     assert result.trace is tracer
 

@@ -37,12 +37,15 @@ def finite_matrix(rows, cols):
 )
 def test_parallel_bitwise_equals_serial(m, n, k, threads, scheme, data):
     """For every shape, thread count and scheme: the Figure-1 parallel
-    driver produces the bit-identical C of the serial driver (each element
-    is computed by exactly one thread through the same kernel sequence)."""
+    driver produces the bit-identical C of the serial tile schedule (each
+    element is computed by exactly one thread through the same kernel
+    sequence)."""
     a = data.draw(finite_matrix(m, k))
     b = data.draw(finite_matrix(k, n))
     cfg = FTGemmConfig.small(checksum_scheme=scheme)
-    serial = FTGemm(cfg).gemm(a, b)
+    serial = FTGemm(
+        cfg.with_(blocking=cfg.blocking.with_(dispatch="tile"))
+    ).gemm(a, b)
     parallel = ParallelFTGemm(cfg, n_threads=threads).gemm(a, b)
     assert serial.verified and parallel.verified
     np.testing.assert_array_equal(serial.c, parallel.c)

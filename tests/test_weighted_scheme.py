@@ -165,7 +165,9 @@ def test_parallel_weighted_clean(cfg, rng):
 def test_parallel_weighted_matches_serial_bitwise(cfg, rng):
     a = rng.standard_normal((28, 21))
     b = rng.standard_normal((21, 33))
-    serial = FTGemm(cfg).gemm(a, b).c
+    # the parallel kernels share the serial tile schedule's summation order
+    tile = cfg.with_(blocking=cfg.blocking.with_(dispatch="tile"))
+    serial = FTGemm(tile).gemm(a, b).c
     parallel = ParallelFTGemm(cfg, n_threads=4).gemm(a, b).c
     np.testing.assert_array_equal(serial, parallel)
 
